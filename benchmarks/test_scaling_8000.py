@@ -38,8 +38,9 @@ def test_scaling_beyond_8000_tasks_is_reasonable(benchmark):
         lambda: analyze(problem, "incremental"), rounds=1, iterations=1, warmup_rounds=0
     )
     assert schedule.schedulable
-    stats = benchmark.stats.stats
+    # the analyzer's own clock: also present under --benchmark-disable
+    seconds = schedule.stats.wall_time_seconds
     benchmark.extra_info["tasks"] = 8192
-    benchmark.extra_info["seconds"] = round(stats.mean, 3)
+    benchmark.extra_info["seconds"] = round(seconds, 3)
     # "reasonable execution time": well under a minute on a laptop-class machine
-    assert stats.mean < 60.0
+    assert seconds < 60.0

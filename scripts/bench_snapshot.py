@@ -47,23 +47,18 @@ Measures, on one deterministic layer-by-layer workload:
    ``analyze_generation`` 2-D pass.  Without NumPy the vector fields stay
    null and the snapshot still runs end to end.
 
-6. **Persistent cache store throughput** (PR 10) — both persistent store
-   backends (the legacy JSON directory and the SQLite database) filled with
-   the same >=10k entries, then hammered with identical warm batched
-   lookups.  Bit-identical schedule readback across the backends is
-   asserted before any throughput is reported.  The headline compares
-   ``fetch_many`` (the storage primitive: key → validated record); the
-   fully-validated ``get_many`` times ride along.  The ``transactions``
-   counter doubles as a files-touched count for the JSON store (one per
-   file) versus one round trip per batch for SQLite — the structural
-   reason for the speedup.  A second SQLite store is overfilled against a
-   ``max_bytes`` budget to record that put-time eviction holds the
-   occupancy bound.
+6. **Persistent cache store throughput** — the SQLite store filled with
+   10k entries, then hammered with identical warm batched lookups.
+   Bit-identical readback is asserted before any throughput is reported.
+   ``fetch_many`` (the storage primitive: key → validated record) and the
+   fully-validated ``get_many`` are timed, with the round trips per batch.
+   A second store is overfilled against a ``max_bytes`` budget to record
+   that put-time eviction holds the occupancy bound.
 
-Writes a JSON document (default ``BENCH_PR10.json``) so CI finally records
-perf data points over time::
+Writes a JSON document (default ``BENCH_SNAPSHOT.json``) so CI records perf
+data points over time::
 
-    PYTHONPATH=src python scripts/bench_snapshot.py --tiny --output BENCH_PR10.json
+    PYTHONPATH=src python scripts/bench_snapshot.py --tiny --output BENCH_SNAPSHOT.json
 
 ``--tiny`` shrinks the workload for CI runners; the numbers are then only
 good for trajectory, not for absolute claims.  Exit code 0 unless the two
@@ -102,7 +97,7 @@ from repro.core import (  # noqa: E402
     numpy_available,
     patch_problem,
 )
-from repro.engine.store import JsonDirStore, SqliteStore  # noqa: E402
+from repro.engine.store import SqliteStore  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.generators import fixed_ls_workload  # noqa: E402
 
@@ -386,20 +381,16 @@ def measure_structural(problem, *, repeats, probe_limit):
 
 
 def measure_cache(problem, *, entries, batch, repeats):
-    """JSON-dir vs SQLite persistent store: warm batched lookup throughput.
+    """SQLite persistent store: warm batched lookup throughput.
 
-    Both backends hold the same ``entries`` records; the same warm batch of
-    ``batch`` keys is then looked up against each.  Bit-identical schedule
-    readback across the backends is asserted *before* any speedup is
-    reported.  The headline speedup compares ``fetch_many`` — the storage
-    primitive (key → validated record) — because reconstructing a
-    ``Schedule`` from a record costs the same on every backend and would
-    only dilute what the store layer changed; the fully-validated
-    ``get_many`` times are reported alongside.  ``transactions`` doubles as
-    a files-touched count for the JSON store (one per file) versus one
-    round trip per batch for SQLite.  Finally a budgeted SQLite store is
-    overfilled to record that put-time eviction keeps occupancy within
-    ``max_bytes``.
+    The store holds ``entries`` records; the same warm batch of ``batch``
+    keys is then looked up repeatedly.  Bit-identical readback is asserted
+    *before* any throughput is reported.  ``fetch_many`` is the storage
+    primitive (key → validated record); the fully-validated ``get_many``
+    time, which also rebuilds each ``Schedule``, rides along.
+    ``transactions`` records the round trips per batch (one).  Finally a
+    budgeted store is overfilled to record that put-time eviction keeps
+    occupancy within ``max_bytes``.
     """
     repeats = max(repeats, 5)  # file-system timings are noisy; keep best-of fair
     record = analyze_incremental(problem).to_dict()
@@ -407,34 +398,24 @@ def measure_cache(problem, *, entries, batch, repeats):
     keys = [f"bench-{index:08d}" for index in range(entries)]
     sample = keys[:: max(entries // batch, 1)][:batch]
     with tempfile.TemporaryDirectory() as scratch:
-        json_store = JsonDirStore(Path(scratch) / "json")
-        sqlite_store = SqliteStore(Path(scratch) / "cache.sqlite")
-        fill_seconds = {}
-        for store in (json_store, sqlite_store):
-            started = time.perf_counter()
-            for start in range(0, entries, 2048):
-                store.put_many(
-                    [(key, record, ("bench", key)) for key in keys[start : start + 2048]]
-                )
-            fill_seconds[store.kind] = time.perf_counter() - started
+        store = SqliteStore(Path(scratch) / "cache.sqlite")
+        started = time.perf_counter()
+        for start in range(0, entries, 2048):
+            store.put_many(
+                [(key, record, ("bench", key)) for key in keys[start : start + 2048]]
+            )
+        fill_seconds = time.perf_counter() - started
 
-        # bit-identical readback across the two backends, asserted first
+        # bit-identical readback, asserted first
         canonical = json.dumps(record, sort_keys=True)
-        json_loaded = json_store.get_many(sample)
-        sqlite_loaded = sqlite_store.get_many(sample)
-        for key in sample:
-            json_record, json_schedule = json_loaded[key]
-            sqlite_record, sqlite_schedule = sqlite_loaded[key]
+        for key, (stored, schedule) in store.get_many(sample).items():
             if (
-                json.dumps(json_record, sort_keys=True) != canonical
-                or json.dumps(sqlite_record, sort_keys=True) != canonical
-                or json_schedule.to_dict() != sqlite_schedule.to_dict()
+                json.dumps(stored, sort_keys=True) != canonical
+                or schedule.to_dict() != record
             ):
-                raise SystemExit(
-                    "BUG: cache readback diverged between the JSON and SQLite stores"
-                )
+                raise SystemExit(f"BUG: cache readback of {key} diverged from the stored record")
 
-        def timed_lookup(store, lookup):
+        def timed_lookup(lookup):
             transactions_before = store.stats.transactions
             seconds, loaded = _best_of(repeats, lambda: lookup(sample))
             if len(loaded) != len(sample):
@@ -442,14 +423,9 @@ def measure_cache(problem, *, entries, batch, repeats):
             per_batch = (store.stats.transactions - transactions_before) / repeats
             return seconds, per_batch
 
-        json_seconds, json_transactions = timed_lookup(json_store, json_store.fetch_many)
-        sqlite_seconds, sqlite_transactions = timed_lookup(
-            sqlite_store, sqlite_store.fetch_many
-        )
-        json_validated_seconds, _ = timed_lookup(json_store, json_store.get_many)
-        sqlite_validated_seconds, _ = timed_lookup(sqlite_store, sqlite_store.get_many)
-        json_store.close()
-        sqlite_store.close()
+        seconds, transactions = timed_lookup(store.fetch_many)
+        validated_seconds, _ = timed_lookup(store.get_many)
+        store.close()
 
         # put-time eviction must hold the byte budget after every batch
         evict_budget = record_size * 64
@@ -473,30 +449,16 @@ def measure_cache(problem, *, entries, batch, repeats):
         }
         evict_store.close()
 
-    speedup = json_seconds / sqlite_seconds if sqlite_seconds else None
-    validated_speedup = (
-        json_validated_seconds / sqlite_validated_seconds
-        if sqlite_validated_seconds
-        else None
-    )
     return {
         "entries": entries,
         "batch": batch,
         "record_bytes": record_size,
         "fill_seconds": fill_seconds,
-        "json_batch_seconds": json_seconds,
-        "sqlite_batch_seconds": sqlite_seconds,
-        "json_lookups_per_second": batch / json_seconds if json_seconds else None,
-        "sqlite_lookups_per_second": batch / sqlite_seconds if sqlite_seconds else None,
-        "json_seconds_per_lookup": json_seconds / batch if batch else None,
-        "sqlite_seconds_per_lookup": sqlite_seconds / batch if batch else None,
-        "json_validated_batch_seconds": json_validated_seconds,
-        "sqlite_validated_batch_seconds": sqlite_validated_seconds,
-        "validated_speedup": validated_speedup,
-        "json_files_touched_per_batch": json_transactions,
-        "sqlite_transactions_per_batch": sqlite_transactions,
-        "speedup": speedup,
-        "meets_3x_target": speedup is not None and speedup >= 3.0,
+        "sqlite_batch_seconds": seconds,
+        "sqlite_lookups_per_second": batch / seconds if seconds else None,
+        "sqlite_seconds_per_lookup": seconds / batch if batch else None,
+        "sqlite_validated_batch_seconds": validated_seconds,
+        "sqlite_transactions_per_batch": transactions,
         "eviction": eviction,
     }
 
@@ -504,7 +466,7 @@ def measure_cache(problem, *, entries, batch, repeats):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="CI-sized workload")
-    parser.add_argument("--output", default="BENCH_PR10.json", help="JSON output path")
+    parser.add_argument("--output", default="BENCH_SNAPSHOT.json", help="JSON output path")
     # one fixed seed drives every workload: the whole snapshot is
     # deterministic, so two runs on one machine are comparable numbers
     parser.add_argument("--seed", type=int, default=2020)
@@ -520,8 +482,7 @@ def main() -> int:
         fixedpoint_tasks = 256
         structural_probes = 64
         generation_probes = 16
-    # the 3x acceptance claim is stated at >=10k resident entries, so the
-    # cache panel keeps that population even under --tiny
+    # the cache panel keeps a realistic 10k-entry population even under --tiny
     cache_entries, cache_batch = 10_000, 512
 
     workload = fixed_ls_workload(tasks, layer, core_count=cores, seed=args.seed)
@@ -554,8 +515,7 @@ def main() -> int:
 
     document = {
         "format": "repro-bench-snapshot",
-        "version": 1,
-        "pr": 10,
+        "version": 2,
         "analysis_backend_available": numpy_available(),
         "profile": "tiny" if args.tiny else "full",
         "workload": {
@@ -637,17 +597,13 @@ def main() -> int:
         )
     )
     print(
-        "cache: {entries} entries | warm batch of {batch} | json {js:.4f}s "
-        "({jf:.0f} files) | sqlite {ss:.4f}s ({st:.0f} txn) | speedup x{speedup:.2f} "
-        "(validated x{validated:.2f}) | eviction held budget: {held}".format(
+        "cache: {entries} entries | warm batch of {batch} | sqlite {ss:.4f}s "
+        "({st:.0f} txn) | validated {vs:.4f}s | eviction held budget: {held}".format(
             entries=cache["entries"],
             batch=cache["batch"],
-            js=cache["json_batch_seconds"],
-            jf=cache["json_files_touched_per_batch"],
             ss=cache["sqlite_batch_seconds"],
             st=cache["sqlite_transactions_per_batch"],
-            speedup=cache["speedup"],
-            validated=cache["validated_speedup"],
+            vs=cache["sqlite_validated_batch_seconds"],
             held=cache["eviction"]["held_budget"],
         )
     )

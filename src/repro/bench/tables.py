@@ -68,7 +68,8 @@ def run_headline_case(label: str, *, task_count: Optional[int] = None, seed: int
     new_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    old_schedule = analyze(problem, OLD_ALGORITHM)
+    # like for like: the baseline on the same pure-Python backend as Algorithm 1
+    old_schedule = analyze(problem, OLD_ALGORITHM, backend="python")
     old_seconds = time.perf_counter() - start
 
     return HeadlineRow(

@@ -85,8 +85,8 @@ def analyze(
     ``backend`` selects the analysis backend (see :mod:`repro.core.vector`):
     ``None`` defers to ``REPRO_ANALYSIS_BACKEND``; an explicit value is passed
     through to algorithms that accept one (their registered functions carry a
-    truthy ``accepts_backend`` attribute — the built-ins do) and is an error
-    for plug-ins that do not.
+    truthy ``accepts_backend`` attribute — the built-in ``fixedpoint`` does)
+    and is an error for the others, the sequential ``incremental`` included.
     """
     function = get_algorithm(algorithm)
     if isinstance(problem, OverlayProblem) and not getattr(function, "kernel_aware", False):
@@ -117,7 +117,6 @@ def analyze_or_raise(
     return schedule
 
 
-analyze_incremental.accepts_backend = True  # type: ignore[attr-defined]
 analyze_fixedpoint.accepts_backend = True  # type: ignore[attr-defined]
 
 register_algorithm(INCREMENTAL, analyze_incremental)

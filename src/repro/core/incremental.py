@@ -45,7 +45,6 @@ from .interference import IbusCallCounter, InterferenceTracker
 from .kernel import OverlayProblem, PatchedProblem, compile_problem
 from .problem import AnalysisProblem
 from .schedule import Schedule, ScheduledTask, ScheduleStats
-from .vector import _numpy, resolve_backend
 
 __all__ = ["IncrementalAnalyzer", "analyze_incremental"]
 
@@ -104,14 +103,10 @@ class IncrementalAnalyzer:
         Pass an :class:`~repro.core.events.AnalysisTrace` (or ``True`` to
         create one) to record a cursor event per iteration; retrieve it from
         :attr:`trace` after :meth:`run`.
-    backend:
-        ``"auto"``/``"vector"``/``"python"`` — see :mod:`repro.core.vector`.
-        The event loop itself is inherently sequential (the alive set is
-        bounded by the core count), so the vector backend only accelerates
-        the release-propagation bookkeeping around it: the unresolved
-        predecessor counts and the future-release scan come from NumPy
-        array passes instead of a Python heap.  Cursor steps, IBUS calls
-        and schedules are bit-identical either way.
+
+    The event loop is inherently sequential (the alive set is bounded by the
+    core count), so the analyzer always runs on the pure-Python backend;
+    only the fixed-point baseline has a vector backend.
     """
 
     def __init__(
@@ -119,10 +114,8 @@ class IncrementalAnalyzer:
         problem: Union[AnalysisProblem, OverlayProblem],
         *,
         trace: "AnalysisTrace | bool | None" = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.problem = problem
-        self.backend = backend
         if trace is True:
             self.trace: Optional[AnalysisTrace] = AnalysisTrace()
         elif isinstance(trace, AnalysisTrace):
@@ -160,7 +153,7 @@ class IncrementalAnalyzer:
             compiled = 0
         else:
             if problem.task_count == 0:
-                stats = ScheduleStats(algorithm="incremental")
+                stats = ScheduleStats(algorithm="incremental", backend="python")
                 return Schedule(
                     [], algorithm="incremental", stats=stats, problem_name=problem.name
                 )
@@ -176,7 +169,9 @@ class IncrementalAnalyzer:
 
         task_count = kernel.task_count
         if task_count == 0:
-            stats = ScheduleStats(algorithm="incremental", kernel_compilations=compiled)
+            stats = ScheduleStats(
+                algorithm="incremental", kernel_compilations=compiled, backend="python"
+            )
             return Schedule(
                 [], algorithm="incremental", stats=stats, problem_name=problem_name
             )
@@ -187,18 +182,11 @@ class IncrementalAnalyzer:
         core_of = kernel.core_of
         pred_offsets, dep_offsets = kernel.pred_offsets, kernel.dep_offsets
         dep_list = kernel.dep_list
-        np = _numpy() if resolve_backend(self.backend) == "vector" else None
-        backend_used = "vector" if np is not None else "python"
         #: unresolved effective-predecessor count per task (the kernel's CSR
         #: rows are deduplicated, so a plain countdown is exact)
-        if np is not None:
-            pending: List[int] = np.diff(
-                np.asarray(pred_offsets, dtype=np.int64)
-            ).tolist()
-        else:
-            pending = [
-                pred_offsets[i + 1] - pred_offsets[i] for i in range(task_count)
-            ]
+        pending: List[int] = [
+            pred_offsets[i + 1] - pred_offsets[i] for i in range(task_count)
+        ]
 
         core_ids = kernel.core_ids
         core_orders = kernel.core_orders
@@ -206,18 +194,11 @@ class IncrementalAnalyzer:
         core_heads: List[int] = [0] * len(core_ids)
 
         # future-release scan: min-heap of (min_release, id) for tasks not yet
-        # opened, used to find the next interesting future date in O(log n).
-        # The cold vector path walks a NumPy-argsorted pointer instead: the
-        # cursor and the opened flags are both monotone, so the pointer skips
-        # exactly the elements the heap would pop, under the same conditions,
-        # and yields the identical next future date.
-        future_heap: List[Tuple[int, int]] = []
-        future_order: Optional[List[int]] = None
-        future_keys: Optional[List[int]] = None
-        future_ptr = 0
-        if np is None:
-            future_heap = [(min_release[i], i) for i in range(task_count)]
-            heapq.heapify(future_heap)
+        # opened, used to find the next interesting future date in O(log n)
+        future_heap: List[Tuple[int, int]] = [
+            (min_release[i], i) for i in range(task_count)
+        ]
+        heapq.heapify(future_heap)
 
         # start the cursor at the earliest minimal release date: nothing can
         # open before it, so the old ``t = 0`` first step was a guaranteed
@@ -245,6 +226,7 @@ class IncrementalAnalyzer:
                 wall_time_seconds=_time.perf_counter() - started,
                 kernel_compilations=compiled,
                 warm_start_hits=1,
+                backend="python",
             )
             return Schedule(
                 parent_schedule.entries(),
@@ -268,12 +250,7 @@ class IncrementalAnalyzer:
                 unschedulable,
             ) = resume
             warm_hits = 1
-            backend_used = "python"  # the resumed loop scans its own heap
         else:
-            if np is not None:
-                order = np.argsort(np.asarray(min_release, dtype=np.int64), kind="stable")
-                future_order = order.tolist()
-                future_keys = [min_release[i] for i in future_order]
             alive = {}
             entries = []
             opened = [False] * task_count
@@ -368,20 +345,12 @@ class IncrementalAnalyzer:
                 if finish < t_next:
                     t_next = finish
             # earliest *strictly future* minimal release date of an unopened task
-            if future_order is not None:
-                while future_ptr < task_count and (
-                    future_keys[future_ptr] <= now or opened[future_order[future_ptr]]
-                ):
-                    future_ptr += 1
-                if future_ptr < task_count and future_keys[future_ptr] < t_next:
-                    t_next = future_keys[future_ptr]
-            else:
-                while future_heap and (
-                    future_heap[0][0] <= now or opened[future_heap[0][1]]
-                ):
-                    heapq.heappop(future_heap)
-                if future_heap and future_heap[0][0] < t_next:
-                    t_next = future_heap[0][0]
+            while future_heap and (
+                future_heap[0][0] <= now or opened[future_heap[0][1]]
+            ):
+                heapq.heappop(future_heap)
+            if future_heap and future_heap[0][0] < t_next:
+                t_next = future_heap[0][0]
 
             if horizon is not None and t_next != _INFINITY and t_next > horizon:
                 unschedulable = True
@@ -415,7 +384,7 @@ class IncrementalAnalyzer:
             wall_time_seconds=_time.perf_counter() - started,
             kernel_compilations=compiled,
             warm_start_hits=warm_hits,
-            backend=backend_used,
+            backend="python",
         )
         return Schedule(
             entries,
@@ -660,10 +629,9 @@ def analyze_incremental(
     problem: Union[AnalysisProblem, OverlayProblem],
     *,
     trace: "AnalysisTrace | bool | None" = None,
-    backend: Optional[str] = None,
 ) -> Schedule:
     """Convenience wrapper: run :class:`IncrementalAnalyzer` and return the schedule."""
-    return IncrementalAnalyzer(problem, trace=trace, backend=backend).run()
+    return IncrementalAnalyzer(problem, trace=trace).run()
 
 
 #: the registry dispatcher hands OverlayProblems straight through (no

@@ -38,7 +38,8 @@ generations and the server's ``POST /batch`` overlay form).
 
 Backend selection
 -----------------
-``REPRO_ANALYSIS_BACKEND`` (or the ``backend=`` kwarg of the analyzers)
+``REPRO_ANALYSIS_BACKEND`` (or the ``backend=`` kwarg of the fixed-point
+analyzer; the incremental analysis is sequential and always pure Python)
 chooses ``auto`` (default: vector when NumPy imports, else python),
 ``vector`` (require NumPy — :class:`~repro.errors.AnalysisError` with an
 install hint when it is missing) or ``python`` (always the reference oracle).

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro import analyze
 from repro.cli import main
 from repro.engine import ResultCache
@@ -21,8 +23,6 @@ def _fill(path, schedule, count, prefix="key"):
 class TestCacheStats:
     def test_reports_entries_and_bytes(self, tmp_path, diamond_problem, capsys):
         schedule = analyze(diamond_problem)
-        # .sqlite suffix pins the backend so the assertion below holds even
-        # when REPRO_CACHE_STORE=json is exported (the CI fallback leg)
         _fill(tmp_path / "cache.sqlite", schedule, 3)
         assert main(["cache", "stats", str(tmp_path / "cache.sqlite")]) == 0
         output = capsys.readouterr().out
@@ -31,34 +31,24 @@ class TestCacheStats:
         assert "bytes" in output
         assert "quarantined" in output
 
-    def test_json_store_reported_too(self, tmp_path, diamond_problem, capsys):
-        schedule = analyze(diamond_problem)
-        _fill(f"json://{tmp_path / 'cache'}", schedule, 2)
-        assert main(["cache", "stats", f"json://{tmp_path / 'cache'}"]) == 0
+
+    def test_legacy_json_entries_are_not_counted(self, tmp_path, capsys):
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        (directory / f"{'a' * 64}.json").write_text("{}", encoding="utf-8")
+        assert main(["cache", "stats", str(directory)]) == 0
         output = capsys.readouterr().out
-        assert "json" in output
-        assert "2" in output
+        assert str(directory / "cache.sqlite") in output
+        assert any(line.split() == ["entries", "0"] for line in output.splitlines())
 
 
-class TestCacheMigrate:
-    def test_migrates_with_progress_and_is_idempotent(self, tmp_path, diamond_problem, capsys):
-        schedule = analyze(diamond_problem)
-        _fill(f"json://{tmp_path / 'legacy'}", schedule, 4)
-        database = tmp_path / "cache.sqlite"
-        assert main(["cache", "migrate", str(tmp_path / "legacy"), str(database)]) == 0
-        captured = capsys.readouterr()
-        assert "migrated 4" in captured.out
-        assert "[4/4]" in captured.err  # progress streamed to stderr
-        # idempotent re-run: replace semantics converge to the same store
-        assert main(["cache", "migrate", str(tmp_path / "legacy"), str(database), "--quiet"]) == 0
-        assert "store now holds 4" in capsys.readouterr().out
-        store = SqliteStore(database)
-        try:
-            assert store.entry_count() == 4
-            restored = store.get_many(["key-0"])["key-0"][1]
-            assert restored.to_dict() == schedule.to_dict()
-        finally:
-            store.close()
+class TestCacheSubcommands:
+    def test_migrate_is_not_a_subcommand(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "migrate", str(tmp_path / "legacy"), str(tmp_path / "c.sqlite")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCachePrune:

@@ -182,6 +182,23 @@ class TestStatsAndTrace:
         assert schedule.stats.ibus_calls > 0
         assert schedule.stats.wall_time_seconds >= 0
 
+    def test_backend_is_always_python(self, small_problem, monkeypatch):
+        """Algorithm 1 is one sequential loop: no backend knob reaches it."""
+        from repro.core.kernel import PatchedProblem, StructureOverlay, compile_problem
+        from repro.core.vector import BACKEND_ENV
+
+        monkeypatch.setenv(BACKEND_ENV, "vector")
+        cold = analyze_incremental(small_problem)
+        reused = analyze_incremental(
+            PatchedProblem(
+                compile_problem(small_problem), StructureOverlay.noop(), parent_schedule=cold
+            )
+        )
+        assert reused.stats.warm_start_hits == 1
+        assert cold.stats.backend == reused.stats.backend == "python"
+        with pytest.raises(TypeError):
+            analyze_incremental(small_problem, backend="python")
+
     def test_alive_set_bounded_by_core_count(self, small_problem):
         analyzer = IncrementalAnalyzer(small_problem, trace=True)
         analyzer.run()

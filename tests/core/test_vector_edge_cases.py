@@ -90,19 +90,17 @@ class TestDegenerateProblems:
 
     def test_empty_problem(self):
         problem = AnalysisProblem(TaskGraph("empty"), Mapping(), Platform.symmetric(2, 1))
-        for analyze_fn in (analyze_fixedpoint, analyze_incremental):
-            oracle = analyze_fn(problem, backend="python")
-            vector = analyze_fn(problem, backend="vector")
-            assert fingerprint(vector) == fingerprint(oracle)
-            assert vector.schedulable and not vector.entries()
+        oracle = analyze_fixedpoint(problem, backend="python")
+        vector = analyze_fixedpoint(problem, backend="vector")
+        assert fingerprint(vector) == fingerprint(oracle)
+        assert vector.schedulable and not vector.entries()
 
     def test_single_task(self):
         for horizon in (None, 6, 1_000):
             problem = _single_task_problem(horizon)
-            for analyze_fn in (analyze_fixedpoint, analyze_incremental):
-                oracle = analyze_fn(problem, backend="python")
-                vector = analyze_fn(problem, backend="vector")
-                assert fingerprint(vector) == fingerprint(oracle)
+            oracle = analyze_fixedpoint(problem, backend="python")
+            vector = analyze_fixedpoint(problem, backend="vector")
+            assert fingerprint(vector) == fingerprint(oracle)
 
     def test_degenerate_horizon(self):
         # horizon=1 is the smallest legal horizon: nothing of wcet 7 fits
@@ -114,10 +112,9 @@ class TestDegenerateProblems:
 
     def test_all_tasks_on_one_core(self):
         problem = _one_core_problem()
-        for analyze_fn in (analyze_fixedpoint, analyze_incremental):
-            oracle = analyze_fn(problem, backend="python")
-            vector = analyze_fn(problem, backend="vector")
-            assert fingerprint(vector) == fingerprint(oracle)
+        oracle = analyze_fixedpoint(problem, backend="python")
+        vector = analyze_fixedpoint(problem, backend="vector")
+        assert fingerprint(vector) == fingerprint(oracle)
         # no cross-core overlap: the oracle never calls the arbiter
         assert oracle.stats.ibus_calls == 0
 
@@ -129,11 +126,37 @@ class TestDegenerateProblems:
         with pytest.raises(MappingError) as vector_err:
             analyze_fixedpoint(problem, backend="vector")
         assert str(vector_err.value) == str(python_err.value)
-        # incremental reports the unschedulable verdict identically
-        oracle = analyze_incremental(problem, backend="python")
-        vector = analyze_incremental(problem, backend="vector")
-        assert fingerprint(vector) == fingerprint(oracle)
-        assert not vector.schedulable
+
+
+class TestIncrementalDegenerateProblems:
+    """The same degenerate shapes through the sequential incremental loop."""
+
+    def test_empty_problem(self):
+        problem = AnalysisProblem(TaskGraph("empty"), Mapping(), Platform.symmetric(2, 1))
+        schedule = analyze_incremental(problem)
+        assert schedule.schedulable and not schedule.entries()
+        assert schedule.stats.backend == "python"
+
+    def test_single_task(self):
+        for horizon, schedulable in ((None, True), (6, False), (1_000, True)):
+            schedule = analyze_incremental(_single_task_problem(horizon))
+            assert schedule.schedulable is schedulable
+            assert schedule.entry("only").response_time == 7
+            assert schedule.stats.ibus_calls == 0
+
+    def test_all_tasks_on_one_core(self):
+        problem = _one_core_problem()
+        schedule = analyze_incremental(problem)
+        # no cross-core overlap: the arbiter is never called, and the
+        # serialized schedule is the fixed point's too
+        assert schedule.stats.ibus_calls == 0
+        oracle = analyze_fixedpoint(problem, backend="python")
+        assert fingerprint(schedule)[:4] == fingerprint(oracle)[:4]
+
+    def test_cyclic_mapping_order(self):
+        schedule = analyze_incremental(_cyclic_problem())
+        assert not schedule.schedulable
+        assert sorted(schedule.unscheduled) == ["a", "b"]
 
 
 @needs_numpy
@@ -246,7 +269,8 @@ class TestBackendSelection:
         problem = _single_task_problem()
         with pytest.raises(AnalysisError, match=r"repro\[fast\]"):
             analyze(problem, "fixedpoint", backend="vector")
-        with pytest.raises(AnalysisError, match=r"repro\[fast\]"):
+        # the sequential incremental analysis takes no backend at all
+        with pytest.raises(AnalysisError, match="does not accept a backend selection"):
             analyze(problem, "incremental", backend="vector")
 
     def test_auto_without_numpy_falls_back_to_python(self, monkeypatch):

@@ -3,10 +3,12 @@
 The contract under test:
 
 * For every workload in the generator zoo (chains, fork-join, layer-by-layer
-  in both LS and NL flavours, series-parallel, random min-release DAGs) and
-  both analyzers, ``backend="vector"`` produces schedules **bit-identical**
-  to ``backend="python"`` — entries, verdicts, unscheduled sets, makespans,
-  IBUS call counts and iteration counters all match exactly.
+  in both LS and NL flavours, series-parallel, random min-release DAGs), the
+  fixed-point analyzer under ``backend="vector"`` produces schedules
+  **bit-identical** to ``backend="python"`` — entries, verdicts, unscheduled
+  sets, makespans, IBUS call counts and iteration counters all match exactly.
+* The incremental analyzer (one sequential loop) is bit-identical whatever
+  the backend setting says, and its warm-started probes equal cold analysis.
 * Every built-in arbiter's closed-form vector kernel reproduces the scalar
   arbiter to the bit.
 * :func:`repro.core.analyze_generation` evaluates a whole overlay generation
@@ -38,12 +40,12 @@ from repro.core import (
     analyze,
     analyze_fixedpoint,
     analyze_generation,
-    analyze_incremental,
     compile_problem,
     generation_pass_count,
     numpy_available,
     vector_sweep_count,
 )
+from repro.core.vector import BACKEND_ENV
 from repro.generators import (
     ChainsConfig,
     ForkJoinConfig,
@@ -141,20 +143,22 @@ class TestAnalyzerBitIdentity:
         assert vector.stats.vector_sweeps == vector.stats.inner_iterations
         assert vector_sweep_count() - before >= vector.stats.inner_iterations
 
-    def test_incremental(self, case):
+    def test_incremental(self, case, monkeypatch):
+        # Algorithm 1 has one sequential loop: the backend setting that
+        # selects the fixed-point core must not change a single bit of it
         problem = _workloads()[case]
-        oracle = analyze_incremental(problem, backend="python")
-        vector = analyze_incremental(problem, backend="vector")
-        assert fingerprint(vector) == fingerprint(oracle)
-        assert oracle.stats.backend == "python"
-        assert vector.stats.backend == "vector"
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        oracle = analyze(problem, "incremental")
+        monkeypatch.setenv(BACKEND_ENV, "vector")
+        forced = analyze(problem, "incremental")
+        assert fingerprint(forced) == fingerprint(oracle)
+        assert oracle.stats.backend == forced.stats.backend == "python"
 
     def test_analyze_entry_point(self, case):
         problem = _workloads()[case]
-        for algorithm in ("incremental", "fixedpoint"):
-            oracle = analyze(problem, algorithm, backend="python")
-            vector = analyze(problem, algorithm, backend="vector")
-            assert fingerprint(vector) == fingerprint(oracle)
+        oracle = analyze(problem, "fixedpoint", backend="python")
+        vector = analyze(problem, "fixedpoint", backend="vector")
+        assert fingerprint(vector) == fingerprint(oracle)
 
 
 def _arbiters():
@@ -268,28 +272,39 @@ class TestWarmStartContract:
         problem = _workloads()[case]
         kernel = compile_problem(problem)
         rng = random.Random(1000 + case)
-        for algorithm in ("incremental", "fixedpoint"):
-            parent = analyze(problem, algorithm, backend="python")
-            for _ in range(3):
-                delta = _random_delta(rng, kernel)
-                try:
-                    warm = PatchedProblem(kernel, delta, parent_schedule=parent)
-                except Exception:
-                    continue  # delta invalid for this kernel (e.g. cycle)
-                oracle = analyze(warm, algorithm, backend="python")
-                vector = analyze(warm, algorithm, backend="vector")
-                assert fingerprint(vector) == fingerprint(oracle)
-                assert vector.stats.warm_start_hits == oracle.stats.warm_start_hits
+        parent = analyze(problem, "fixedpoint", backend="python")
+        for _ in range(3):
+            delta = _random_delta(rng, kernel)
+            try:
+                warm = PatchedProblem(kernel, delta, parent_schedule=parent)
+            except Exception:
+                continue  # delta invalid for this kernel (e.g. cycle)
+            oracle = analyze(warm, "fixedpoint", backend="python")
+            vector = analyze(warm, "fixedpoint", backend="vector")
+            assert fingerprint(vector) == fingerprint(oracle)
+            assert vector.stats.warm_start_hits == oracle.stats.warm_start_hits
+
+    def test_incremental_warm_probes_match_cold(self, case):
+        problem = _workloads()[case]
+        kernel = compile_problem(problem)
+        rng = random.Random(1000 + case)
+        parent = analyze(problem, "incremental")
+        for _ in range(3):
+            delta = _random_delta(rng, kernel)
+            try:
+                warm = PatchedProblem(kernel, delta, parent_schedule=parent)
+            except Exception:
+                continue  # delta invalid for this kernel (e.g. cycle)
+            cold = analyze(PatchedProblem(kernel, delta), "incremental")
+            # everything but the warm-start counter itself is bit-identical
+            assert fingerprint(analyze(warm, "incremental"))[:-1] == fingerprint(cold)[:-1]
 
     def test_noop_delta_warm_shortcut_matches(self, case):
         problem = _workloads()[case]
         kernel = compile_problem(problem)
-        for algorithm in ("incremental", "fixedpoint"):
-            parent = analyze(problem, algorithm, backend="python")
-            warm = PatchedProblem(
-                kernel, StructureOverlay.noop(), parent_schedule=parent
-            )
-            oracle = analyze(warm, algorithm, backend="python")
-            vector = analyze(warm, algorithm, backend="vector")
-            assert fingerprint(vector) == fingerprint(oracle)
-            assert vector.stats.warm_start_hits == 1
+        parent = analyze(problem, "fixedpoint", backend="python")
+        warm = PatchedProblem(kernel, StructureOverlay.noop(), parent_schedule=parent)
+        oracle = analyze(warm, "fixedpoint", backend="python")
+        vector = analyze(warm, "fixedpoint", backend="vector")
+        assert fingerprint(vector) == fingerprint(oracle)
+        assert vector.stats.warm_start_hits == 1

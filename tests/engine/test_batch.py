@@ -238,8 +238,6 @@ def test_cache_hits_are_relabeled_with_the_requesting_problem_name():
     first, second = analyzer.run([base, renamed]).schedules
     assert first.problem_name == base.name
     assert second.problem_name == "renamed-problem"
-    # and the same through the registered cached algorithm
-    assert analyze(renamed, "cached-incremental").problem_name == "renamed-problem"
 
 
 def test_cache_write_failure_does_not_discard_results(tmp_path, monkeypatch):
@@ -261,21 +259,19 @@ def test_cache_write_failure_does_not_discard_results(tmp_path, monkeypatch):
     assert len(report.schedules) == 3
 
 
-def test_cached_algorithm_survives_cache_write_failure(diamond_problem, monkeypatch):
-    """The registered cached-* path returns the schedule even if put() fails."""
-    from repro.engine import register_cached_algorithm
-    from repro.errors import CacheError
+def test_no_cached_algorithm_is_registered(diamond_problem, capsys):
+    """The cached path is analyze_many(cache=...), not a registered algorithm."""
+    from repro import available_algorithms
+    from repro.cli import main
+    from repro.errors import AnalysisError
 
-    cache = ResultCache()
-
-    def broken_put(key, schedule, *, split=None):
-        raise CacheError("disk full")
-
-    monkeypatch.setattr(cache, "put", broken_put)
-    register_cached_algorithm("cached-broken-store-test", "incremental", cache, overwrite=True)
-    with pytest.warns(RuntimeWarning, match="cache write failed"):
-        schedule = analyze(diamond_problem, "cached-broken-store-test")
-    assert schedule.makespan > 0
+    assert not any(name.startswith("cached-") for name in available_algorithms())
+    with pytest.raises(AnalysisError, match="unknown algorithm 'cached-incremental'"):
+        analyze(diamond_problem, "cached-incremental")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "problem.json", "--algorithm", "cached-incremental"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'cached-incremental'" in capsys.readouterr().err
 
 
 def test_run_jobs_does_not_mutate_caller_job_indices():
@@ -333,30 +329,6 @@ def test_invalid_worker_count_rejected(diamond_problem):
 
 def test_default_worker_count_positive():
     assert default_worker_count() >= 1
-
-
-def test_cached_algorithm_registered_through_plugin_registry(diamond_problem):
-    """The engine's cache-aware path goes through register_algorithm."""
-    from repro import available_algorithms
-    from repro.engine import default_cache
-
-    assert "cached-incremental" in available_algorithms()
-    before = default_cache().stats.hits
-    first = analyze(diamond_problem, "cached-incremental")
-    second = analyze(diamond_problem, "cached-incremental")
-    assert default_cache().stats.hits >= before + 1
-    assert first.to_dict()["entries"] == second.to_dict()["entries"]
-
-
-def test_register_cached_algorithm_custom_cache(diamond_problem):
-    from repro.engine import register_cached_algorithm
-
-    cache = ResultCache()
-    register_cached_algorithm("fixedpoint-cached-test", "fixedpoint", cache, overwrite=True)
-    analyze(diamond_problem, "fixedpoint-cached-test")
-    assert cache.stats.misses == 1
-    analyze(diamond_problem, "fixedpoint-cached-test")
-    assert cache.stats.hits == 1
 
 
 def test_custom_registered_algorithm_runs_in_workers(diamond_problem):

@@ -1,24 +1,17 @@
-"""Tests for the persistent cache stores (SQLite + JSON-directory backends)."""
+"""Tests for the persistent SQLite cache store."""
 
 from __future__ import annotations
 
-import json
 import marshal
 import sqlite3
 
 import pytest
 
 from repro import analyze
+from repro.cli import main
 from repro.engine import ResultCache
 from repro.engine.cache import CacheStats
-from repro.engine.store import (
-    SQLITE_SCHEMA_VERSION,
-    STORE_BACKEND_ENV,
-    JsonDirStore,
-    SqliteStore,
-    migrate_json_dir,
-    open_store,
-)
+from repro.engine.store import SQLITE_SCHEMA_VERSION, SqliteStore, open_store
 from repro.errors import CacheError
 
 
@@ -32,7 +25,7 @@ def _entries(count, record, structure="structure-0"):
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# path forms
 # ----------------------------------------------------------------------
 
 
@@ -41,31 +34,40 @@ class TestOpenStore:
         store = open_store(f"sqlite://{tmp_path / 'c.db'}")
         assert isinstance(store, SqliteStore)
 
-    def test_json_url(self, tmp_path):
-        store = open_store(f"json://{tmp_path / 'cache'}")
-        assert isinstance(store, JsonDirStore)
-
     @pytest.mark.parametrize("suffix", [".sqlite", ".sqlite3", ".db"])
     def test_database_suffix_selects_sqlite(self, tmp_path, suffix):
         store = open_store(tmp_path / f"cache{suffix}")
         assert isinstance(store, SqliteStore)
         assert store.path == tmp_path / f"cache{suffix}"
 
-    def test_directory_defaults_to_sqlite(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_BACKEND_ENV, raising=False)
+    def test_directory_defaults_to_sqlite(self, tmp_path, record):
+        # JSON entry files an older build left in the directory are ignored
+        legacy = tmp_path / "cache" / f"{'a' * 64}.json"
+        legacy.parent.mkdir()
+        legacy.write_text('{"format": "repro-cache-entry"}', encoding="utf-8")
+        store = open_store(tmp_path / "cache")
+        assert isinstance(store, SqliteStore)
+        assert store.path == tmp_path / "cache" / "cache.sqlite"
+        assert store.entry_count() == 0
+        assert legacy.exists()
+
+    def test_cache_store_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # REPRO_CACHE_STORE once selected a JSON-directory backend; it is gone
+        monkeypatch.setenv("REPRO_CACHE_STORE", "json")
         store = open_store(tmp_path / "cache")
         assert isinstance(store, SqliteStore)
         assert store.path == tmp_path / "cache" / "cache.sqlite"
 
-    def test_env_var_selects_json_for_directories(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "json")
-        store = open_store(tmp_path / "cache")
-        assert isinstance(store, JsonDirStore)
-
-    def test_unknown_backend_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "etcd")
-        with pytest.raises(CacheError, match="REPRO_CACHE_STORE"):
-            open_store(tmp_path / "cache")
+    @pytest.mark.parametrize("url", ["json://x", "redis://localhost/0", "file:///tmp/c"])
+    def test_unknown_url_scheme_rejected(self, tmp_path, monkeypatch, capsys, url):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(CacheError, match="sqlite://"):
+            open_store(url)
+        with pytest.raises(CacheError, match="unsupported cache store URL"):
+            ResultCache(path=url)
+        assert main(["cache", "stats", url]) == 1
+        assert "unsupported cache store URL" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no directory named after the scheme
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +103,17 @@ class TestSqliteStore:
         assert store.fetch_many(["key-1"]) == {}
         assert stats.corrupt == 1
         assert store.quarantine_count() == 1
+
+    def test_put_of_an_existing_key_replaces_its_row(self, tmp_path, record):
+        store = SqliteStore(tmp_path / "c.db")
+        store.put_many([("key-1", record, ("s-old", "o"))])
+        replacement = dict(record, problem_name="replacement")
+        store.put_many([("key-1", replacement, ("s-new", "o"))])
+        assert store.entry_count() == 1
+        assert store.fetch_many(["key-1"]) == {"key-1": replacement}
+        # the split digests follow the replacement too
+        assert store.drop_structure("s-old") == 0
+        assert store.drop_structure("s-new") == 1
 
     def test_batched_calls_are_one_transaction_each(self, tmp_path, record):
         stats = CacheStats()
@@ -196,6 +209,15 @@ class TestSqliteStore:
         kept = set(store.keys())
         assert "key-0" in kept and "key-new" in kept
 
+    def test_prune_evicts_oldest_first(self, tmp_path, record):
+        stats = CacheStats()
+        store = SqliteStore(tmp_path / "c.db", stats)
+        for index in range(4):
+            store.put_many([(f"key-{index}", record, None)])
+        assert store.prune(max_entries=2) == 2
+        assert set(store.keys()) == {"key-2", "key-3"}
+        assert stats.evictions == 2
+
     def test_max_bytes_budget_holds_under_fill(self, tmp_path, record):
         size = len(marshal.dumps(record))
         budget = size * 10 + size // 2
@@ -242,99 +264,3 @@ def test_sqlite_eviction_keeps_store_within_max_bytes_under_50k_fill(tmp_path, r
     assert all(int(key.split("-")[1]) >= total - 2 * batch for key in survivors)
     loaded = store.get_many(survivors[:16])
     assert all(value[0] == record for value in loaded.values())
-
-
-# ----------------------------------------------------------------------
-# migration
-# ----------------------------------------------------------------------
-
-
-class TestMigration:
-    def test_migrate_json_dir_ingests_valid_entries(self, tmp_path, record, diamond_problem):
-        legacy = ResultCache(path=f"json://{tmp_path / 'legacy'}")
-        schedule = analyze(diamond_problem)
-        for index in range(6):
-            legacy.put(f"key-{index}", schedule, split=("s", f"o-{index}"))
-        (tmp_path / "legacy" / "not-an-entry.json").write_text("{}", encoding="utf-8")
-        store = SqliteStore(tmp_path / "c.db")
-        seen = []
-        migrated = migrate_json_dir(
-            tmp_path / "legacy", store, progress=lambda done, total: seen.append((done, total))
-        )
-        assert migrated == 6
-        assert store.entry_count() == 6
-        assert seen[-1] == (6, 6)
-        # split digests survive the migration: structure-scoped ops still work
-        assert store.drop_structure("s") == 6
-
-    def test_migrate_is_idempotent(self, tmp_path, record, diamond_problem):
-        legacy = ResultCache(path=f"json://{tmp_path / 'legacy'}")
-        schedule = analyze(diamond_problem)
-        for index in range(4):
-            legacy.put(f"key-{index}", schedule)
-        store = SqliteStore(tmp_path / "c.db")
-        assert migrate_json_dir(tmp_path / "legacy", store) == 4
-        assert migrate_json_dir(tmp_path / "legacy", store) == 4  # re-run converges
-        assert store.entry_count() == 4
-
-    def test_directory_open_auto_migrates_legacy_entries_once(
-        self, tmp_path, diamond_problem, monkeypatch
-    ):
-        monkeypatch.delenv(STORE_BACKEND_ENV, raising=False)
-        directory = tmp_path / "cache"
-        legacy = ResultCache(path=f"json://{directory}")
-        schedule = analyze(diamond_problem)
-        legacy.put("legacy-key", schedule)
-        # pointing a new (SQLite-defaulted) cache at the old directory ingests it
-        cache = ResultCache(path=directory)
-        assert cache.get("legacy-key") is not None
-        assert cache.stats.disk_hits == 1
-        # the one-shot marker prevents re-scans: deleting the JSON file and
-        # reopening must not lose (or re-find) anything
-        for entry in directory.glob("*.json"):
-            entry.unlink()
-        reopened = ResultCache(path=directory)
-        assert reopened.get("legacy-key") is not None
-
-
-# ----------------------------------------------------------------------
-# JSON store specifics not covered via test_cache.py
-# ----------------------------------------------------------------------
-
-
-class TestJsonDirStore:
-    def test_transactions_count_files_touched(self, tmp_path, record):
-        stats = CacheStats()
-        store = JsonDirStore(tmp_path / "cache", stats)
-        store.put_many([(f"key-{index}", record, None) for index in range(5)])
-        assert stats.transactions == 5  # one per file — the contrast with SQLite
-        store.get_many([f"key-{index}" for index in range(5)])
-        assert stats.transactions == 10
-
-    def test_fetch_many_returns_raw_records(self, tmp_path, record):
-        stats = CacheStats()
-        store = JsonDirStore(tmp_path / "cache", stats)
-        store.put_many([("key-1", record, None)])
-        fetched = store.fetch_many(["key-1", "missing"])
-        assert fetched == {"key-1": record}
-        assert stats.transactions == 2  # one file written + one file read
-
-    def test_prune_evicts_oldest_first(self, tmp_path, record):
-        import os
-        import time
-
-        store = JsonDirStore(tmp_path / "cache")
-        store.put_many([(f"key-{index}", record, None) for index in range(4)])
-        now = time.time()
-        for index in range(4):
-            entry = store._entry_path(f"key-{index}")
-            os.utime(entry, (now - 100 + index, now - 100 + index))
-        assert store.prune(max_entries=2) == 2
-        kept = set(store.keys())
-        assert kept == {"key-2", "key-3"}
-
-    def test_split_digests_recorded_in_envelope(self, tmp_path, record):
-        store = JsonDirStore(tmp_path / "cache", CacheStats())
-        store.put_many([("key-1", record, ("struct", "over"))])
-        assert store.drop_structure("struct") == 1
-        assert store.entry_count() == 0

@@ -105,9 +105,7 @@ class TestWarmBatchTransactionBudget:
         from repro.engine import ResultCache
 
         # memory_limit=0 forces every lookup through the persistent store, so
-        # the transaction counter measures real storage round trips; the
-        # .sqlite suffix pins the SQLite backend (the O(1) budget is its
-        # contract — the JSON fallback touches one file per job)
+        # the transaction counter measures real storage round trips
         cache = ResultCache(path=tmp_path / "cache.sqlite", memory_limit=0)
         runtime = EngineRuntime(backend="inline", cache=cache)
         server = AnalysisServer(runtime, port=0).start()
