@@ -36,10 +36,11 @@ that function in the worker (see :meth:`AnalysisJob.from_payload`) is what
 makes runtime-registered plug-in algorithms work under the ``spawn``
 multiprocessing start method, where workers do not inherit the parent's
 registry: only import-time registrations would otherwise be visible.
-Overlay jobs ship their *base problem once per chunk* (the executor factors
-it into a side table) plus a small per-job delta; workers memoize the
-compiled kernel per structure digest, so a chunk of N same-structure probes
-compiles the structure once, not N times.
+Delta jobs (overlay and structural probes alike) ship their *base problem
+once per chunk* (the executor factors it into a side table) plus a small
+per-job delta record; workers memoize the compiled kernel per structure
+digest, so a chunk of N probes over one parent compiles it once, not N
+times.
 """
 
 from __future__ import annotations
@@ -479,24 +480,22 @@ class AnalysisJob:
         ``spawn``), which keeps the engine's built-in ``cached-*`` wrappers
         working unchanged.
 
-        An overlay job ships its *base* problem under ``base_problem`` plus
-        the small parameter delta under ``overlay``; the executor factors the
-        base out into a per-chunk structure table (see
-        :func:`repro.engine.executor.run_jobs_on`) so N same-structure probes
-        pay for one base payload, and the worker memoizes the compiled kernel
-        per structure digest.
-
-        A structural-delta job (a :class:`~repro.core.kernel.PatchedProblem`)
-        ships its *parent* problem under ``base_problem``, the edit under
-        ``structure_delta`` and the parent's structure digest under
-        ``base_structure_digest`` — the factoring key, since the job's own
-        ``split_digests[0]`` describes the *edited* structure.  The parent's
+        A delta job — any :class:`~repro.core.kernel.OverlayProblem`,
+        including a structural :class:`~repro.core.kernel.PatchedProblem` —
+        ships its parent problem (:func:`repro.io.delta_parent`) under
+        ``base_problem``, the parent's structure digest under
+        ``base_structure_digest`` and its :func:`repro.io.delta_to_dict`
+        record under ``delta``.  The executor factors the base out into a
+        per-chunk structure table keyed by ``base_structure_digest`` (see
+        :func:`repro.engine.executor.run_jobs_on`), so N probes over one
+        parent pay for one base payload, and the worker memoizes the
+        compiled kernel per structure digest.  A structural probe's
         warm-start bundle (parent schedule + dirty set + divergence bound)
         rides along under ``warm_start`` so workers resume instead of
-        re-analyzing from scratch; both the parent kernel and the patched
-        child kernel are seeded into the same-process memo.
+        re-analyzing from scratch.  Both the parent kernel and the probe's
+        own kernel are seeded into the same-process memo.
         """
-        from ..io.json_io import overlay_to_dict, problem_to_dict, structure_delta_to_dict
+        from ..io.json_io import delta_parent, delta_to_dict, problem_to_dict
 
         payload: Dict[str, Any] = {
             "index": self.index,
@@ -504,34 +503,25 @@ class AnalysisJob:
             "split_digests": list(self.split_digests),
             "algorithm_function": _portable_algorithm(self.algorithm),
         }
-        if isinstance(self.problem, PatchedProblem):
-            parent = self.problem.parent
+        if isinstance(self.problem, OverlayProblem):
+            parent = delta_parent(self.problem)
             base = parent.problem
             base_digest = _kernel_structure_digest(parent)
             payload["base_problem"] = problem_to_dict(base)
             payload["base_structure_digest"] = base_digest
-            payload["structure_delta"] = structure_delta_to_dict(
-                self.problem.delta, name=self.problem.name
-            )
+            payload["delta"] = delta_to_dict(self.problem)
             payload["arbiter"] = base.arbiter
-            warm = self.problem.warm
+            warm = self.problem.warm if isinstance(self.problem, PatchedProblem) else None
             if warm is not None:
                 payload["warm_start"] = {
                     "schedule": warm.schedule.to_dict(),
                     "dirty": sorted(warm.dirty),
                     "first_affected_time": warm.first_affected_time,
                 }
-            # same-process workers reuse both live kernels: the parent for
-            # sibling probes of the same generation, the child for this job
-            _kernel_memo_put(base_digest, parent)
-            _kernel_memo_put(self.structure_digest, self.problem.kernel)
-        elif isinstance(self.problem, OverlayProblem):
-            base = self.problem.kernel.problem
-            payload["base_problem"] = problem_to_dict(base)
-            payload["overlay"] = overlay_to_dict(self.problem)
-            payload["arbiter"] = base.arbiter
             # same-process workers (thread pools, fork children) reuse the
-            # live kernel instead of re-parsing and recompiling the base
+            # live kernels instead of re-parsing, recompiling or re-patching:
+            # the parent for sibling probes, the probe's own kernel for this job
+            _kernel_memo_put(base_digest, parent)
             _kernel_memo_put(self.structure_digest, self.problem.kernel)
         else:
             payload["problem"] = problem_to_dict(self.problem)
@@ -548,11 +538,10 @@ class AnalysisJob:
 
         ``structures`` is the chunk's structure table: base-problem documents
         keyed by structure digest (and factored warm-start schedules keyed by
-        ``warm:``-prefixed entries), referenced by overlay and structural
-        payloads whose own ``base_problem`` entry was factored out by the
-        executor.
+        ``warm:``-prefixed entries), referenced by delta payloads whose own
+        ``base_problem`` entry was factored out by the executor.
         """
-        from ..io.json_io import overlay_from_dict, structure_delta_from_dict
+        from ..io.json_io import delta_from_dict
 
         try:
             function = payload.get("algorithm_function")
@@ -566,10 +555,16 @@ class AnalysisJob:
                 if isinstance(split, (list, tuple)) and len(split) == 2
                 else None
             )
-            delta_data = payload.get("structure_delta")
-            if delta_data is not None:
+            delta_data = payload.get("delta")
+            if delta_data is None:
+                problem: Union[AnalysisProblem, OverlayProblem] = _rebuild_problem(
+                    payload["problem"], payload.get("arbiter")
+                )
+            else:
                 base_digest = payload.get("base_structure_digest")
                 base_digest = None if base_digest is None else str(base_digest)
+                # memo first: a chunk of probes over one parent parses and
+                # compiles its base problem once, not once per job
                 parent = _kernel_memo_get(base_digest)
                 if parent is None:
                     problem_data = payload.get("base_problem")
@@ -577,51 +572,27 @@ class AnalysisJob:
                         problem_data = structures.get(base_digest)
                     if problem_data is None:
                         raise EngineError(
-                            "structural job payload carries no base problem and "
-                            "no matching chunk structure entry"
-                        )
-                    base = _rebuild_problem(problem_data, payload.get("arbiter"))
-                    parent = _kernel_for_structure(base_digest, base)
-                delta, probe_name = structure_delta_from_dict(delta_data)
-                warm = _warm_start_from_payload(
-                    payload.get("warm_start"), base_digest, structures
-                )
-                child = _kernel_memo_get(split_pair[0] if split_pair else None)
-                problem: Union[AnalysisProblem, OverlayProblem] = PatchedProblem(
-                    parent, delta, name=probe_name, kernel=child, warm=warm
-                )
-                if child is None and split_pair:
-                    # sibling probes carrying the same edit reuse this compile
-                    _kernel_memo_put(split_pair[0], problem.kernel)
-                return cls(
-                    problem=problem,
-                    algorithm=str(payload["algorithm"]),
-                    index=int(payload["index"]),
-                    _split=split_pair,
-                )
-            overlay_data = payload.get("overlay")
-            if overlay_data is not None:
-                # memo first: a chunk of same-structure probes parses and
-                # compiles its base problem once, not once per job
-                kernel = _kernel_memo_get(split_pair[0] if split_pair else None)
-                if kernel is None:
-                    problem_data = payload.get("base_problem")
-                    if problem_data is None and structures is not None and split_pair:
-                        problem_data = structures.get(split_pair[0])
-                    if problem_data is None:
-                        raise EngineError(
-                            "overlay job payload carries no base problem and no "
+                            "delta job payload carries no base problem and no "
                             "matching chunk structure entry"
                         )
                     base = _rebuild_problem(problem_data, payload.get("arbiter"))
-                    kernel = _kernel_for_structure(
-                        split_pair[0] if split_pair else None, base
-                    )
-                problem: Union[AnalysisProblem, OverlayProblem] = overlay_from_dict(
-                    overlay_data, kernel
+                    parent = _kernel_for_structure(base_digest, base)
+                # a structural probe's own kernel: memoized when the parent
+                # side (or a sibling probe carrying the same edit) patched it
+                child_digest = split_pair[0] if split_pair else None
+                child = (
+                    parent if child_digest == base_digest else _kernel_memo_get(child_digest)
                 )
-            else:
-                problem = _rebuild_problem(payload["problem"], payload.get("arbiter"))
+                problem = delta_from_dict(
+                    delta_data,
+                    parent,
+                    child=child,
+                    warm=_warm_start_from_payload(
+                        payload.get("warm_start"), base_digest, structures
+                    ),
+                )
+                if child is None and child_digest:
+                    _kernel_memo_put(child_digest, problem.kernel)
             return cls(
                 problem=problem,
                 algorithm=str(payload["algorithm"]),

@@ -34,6 +34,7 @@ from ..core.kernel import (
     ParamOverlay,
     PatchedProblem,
     StructureOverlay,
+    WarmStart,
 )
 from ..errors import ModelError, SerializationError
 from ..model import (
@@ -52,7 +53,10 @@ __all__ = [
     "overlay_from_dict",
     "structure_delta_to_dict",
     "structure_delta_from_dict",
-    "patched_from_dict",
+    "delta_parent",
+    "delta_to_dict",
+    "delta_from_dict",
+    "is_structure_delta",
     "save_problem",
     "load_problem",
     "save_schedule",
@@ -342,24 +346,75 @@ def structure_delta_from_dict(
     return delta, None if name is None else str(name)
 
 
-def patched_from_dict(
+def delta_parent(probe: OverlayProblem) -> CompiledProblem:
+    """The compiled kernel a probe's delta record is written against.
+
+    A :class:`~repro.core.kernel.PatchedProblem` edits its ``parent``; any
+    other overlay probe binds parameters onto its own ``kernel``.  Probes that
+    share this kernel share one ``repro-problem`` document on the wire.
+    """
+    return probe.parent if isinstance(probe, PatchedProblem) else probe.kernel
+
+
+def delta_to_dict(probe: OverlayProblem) -> Dict[str, Any]:
+    """Serialize a probe as a delta record against :func:`delta_parent`.
+
+    A structural probe becomes a ``repro-structure-delta`` record, any other
+    overlay probe a ``repro-overlay`` record; :func:`delta_from_dict` tells
+    the two apart by their ``format`` tag.
+    """
+    if isinstance(probe, PatchedProblem):
+        return structure_delta_to_dict(probe.delta, name=probe.name)
+    return overlay_to_dict(probe)
+
+
+def is_structure_delta(data: Any) -> bool:
+    """True for a ``repro-structure-delta`` record, False for a ``repro-overlay``.
+
+    :raises SerializationError: when ``data`` is neither delta format.
+    """
+    found = data.get("format") if isinstance(data, dict) else type(data).__name__
+    if found == _STRUCTURE_DELTA_FORMAT:
+        return True
+    if found == _OVERLAY_FORMAT:
+        return False
+    raise SerializationError(
+        f"not a {_OVERLAY_FORMAT} or {_STRUCTURE_DELTA_FORMAT} record (format={found!r})"
+    )
+
+
+def delta_from_dict(
     data: Dict[str, Any],
     parent: CompiledProblem,
     *,
     parent_schedule: Optional[Schedule] = None,
-) -> PatchedProblem:
-    """Deserialize a structure-delta record into a patched problem.
+    child: Optional[CompiledProblem] = None,
+    warm: Optional[WarmStart] = None,
+) -> OverlayProblem:
+    """Deserialize a delta record of either format against the compiled ``parent``.
 
-    The structural counterpart of :func:`overlay_from_dict`: the record's
-    delta is applied to the already-compiled ``parent`` kernel (sharing its
-    untouched tables), and ``parent_schedule`` — when given — warm-starts the
-    analyzers from the parent's solution.
+    A ``repro-overlay`` record becomes an :class:`OverlayProblem` over
+    ``parent``.  A ``repro-structure-delta`` record becomes a
+    :class:`PatchedProblem` that shares the parent's untouched tables;
+    ``parent_schedule`` warm-starts it, and ``child``/``warm`` hand over an
+    already patched kernel and warm bundle instead of deriving them again.
+    The three keywords apply to structural records only.
 
     :raises SerializationError: for wire-format problems;
-        model/mapping/platform errors from applying the delta propagate as-is.
+        model/mapping/platform errors from applying a structural edit
+        propagate as-is.
     """
+    if not is_structure_delta(data):
+        return overlay_from_dict(data, parent)
     delta, name = structure_delta_from_dict(data)
-    return PatchedProblem(parent, delta, name=name, parent_schedule=parent_schedule)
+    return PatchedProblem(
+        parent,
+        delta,
+        name=name,
+        kernel=child,
+        warm=warm,
+        parent_schedule=parent_schedule,
+    )
 
 
 def save_problem(problem: AnalysisProblem, path: PathLike) -> Path:

@@ -28,9 +28,9 @@ import urllib.request
 from typing import Any, Dict, Iterable, List, Optional
 
 from .. import obs
-from ..core import AnalysisProblem, OverlayProblem, PatchedProblem, Schedule
+from ..core import AnalysisProblem, OverlayProblem, Schedule
 from ..errors import BatchExecutionError, SerializationError, ServiceError
-from ..io.json_io import overlay_to_dict, problem_to_dict, structure_delta_to_dict
+from ..io.json_io import delta_parent, delta_to_dict, problem_to_dict
 
 __all__ = ["ServiceClient"]
 
@@ -239,82 +239,51 @@ class ServiceClient:
         algorithm: Optional[str] = None,
         priority: int = 0,
     ) -> List[Schedule]:
-        """Analyse many same-structure overlay probes as one delta batch.
+        """Analyse many delta probes over one parent as one delta batch.
 
-        Every probe must share one compiled kernel (one base problem): the
-        request ships the base as a single ``repro-problem`` document plus one
-        small ``repro-overlay`` delta per probe, instead of N full problem
-        payloads — the wire format the cluster dispatcher uses to fan
-        sensitivity-search generations across a fleet.  Results, ordering and
-        the partial-failure contract match :meth:`analyze_many` exactly.
-
-        :raises ServiceError: on an empty probe list, probes that do not share
-            one kernel, transport failures or error responses.
-        :raises BatchExecutionError: when some overlays failed on the server.
-        """
-        probes = list(probes)
-        if not probes:
-            raise ServiceError("analyze_many_overlays needs at least one probe")
-        kernel = probes[0].kernel
-        if any(probe.kernel is not kernel for probe in probes[1:]):
-            raise ServiceError(
-                "every probe of a delta batch must share one compiled kernel"
-            )
-        document: Dict[str, Any] = {
-            "problem": problem_to_dict(kernel.problem),
-            "overlays": [overlay_to_dict(probe) for probe in probes],
-            "priority": priority,
-        }
-        if algorithm is not None:
-            document["algorithm"] = algorithm
-        return self._batch_request(document, len(probes))
-
-    def analyze_many_structures(
-        self,
-        probes: Iterable[PatchedProblem],
-        *,
-        algorithm: Optional[str] = None,
-        priority: int = 0,
-    ) -> List[Schedule]:
-        """Analyse many same-parent structural probes as one structural batch.
-
-        Every probe must be a :class:`~repro.core.PatchedProblem` sharing one
-        parent kernel: the request ships the parent as a single
-        ``repro-problem`` document plus one small ``repro-structure-delta``
-        record per probe.  The server compiles the parent once, analyses it
-        first (coalesced with any in-flight submission of the same content)
-        and runs every probe warm-started from its *own* parent schedule —
-        warm bundles never cross the wire, so a client cannot poison remote
+        Probes may be parameter overlays (:class:`~repro.core.OverlayProblem`)
+        and structural edits (:class:`~repro.core.PatchedProblem`), mixed
+        freely, as long as they share one parent kernel: ``probe.parent`` for
+        a structural probe, ``probe.kernel`` otherwise.  The request ships the
+        parent as a single ``repro-problem`` document plus one small
+        ``repro-overlay`` or ``repro-structure-delta`` record per probe under
+        ``deltas``, instead of N full problem payloads — the wire format the
+        cluster dispatcher uses to fan search generations and structural
+        grids across a fleet.  The server compiles the parent once; when a
+        structural record is present it also analyses the parent and
+        warm-starts those probes from its *own* parent schedule — warm
+        bundles never cross the wire, so a client cannot poison remote
         verdicts.  Results, ordering and the partial-failure contract match
         :meth:`analyze_many` exactly.
 
-        :raises ServiceError: on an empty probe list, probes that do not
-            share one parent kernel, transport failures or error responses.
+        :raises ServiceError: on an empty probe list, a plain problem, probes
+            that do not share one parent kernel, transport failures or error
+            responses.
         :raises BatchExecutionError: when some probes failed on the server.
         """
         probes = list(probes)
         if not probes:
-            raise ServiceError("analyze_many_structures needs at least one probe")
-        if any(not isinstance(probe, PatchedProblem) for probe in probes):
+            raise ServiceError("a delta batch needs at least one probe")
+        if any(not isinstance(probe, OverlayProblem) for probe in probes):
             raise ServiceError(
-                "analyze_many_structures takes PatchedProblem probes only"
+                "a delta batch takes OverlayProblem or PatchedProblem probes only"
             )
-        parent = probes[0].parent
-        if any(probe.parent is not parent for probe in probes[1:]):
+        parent = delta_parent(probes[0])
+        if any(delta_parent(probe) is not parent for probe in probes[1:]):
             raise ServiceError(
-                "every probe of a structural batch must share one parent kernel"
+                "every probe of a delta batch must share one parent kernel"
             )
         document: Dict[str, Any] = {
             "problem": problem_to_dict(parent.problem),
-            "structure_deltas": [
-                structure_delta_to_dict(probe.delta, name=probe.name)
-                for probe in probes
-            ],
+            "deltas": [delta_to_dict(probe) for probe in probes],
             "priority": priority,
         }
         if algorithm is not None:
             document["algorithm"] = algorithm
         return self._batch_request(document, len(probes))
+
+    #: structural probes travel the same delta batch as overlay probes
+    analyze_many_structures = analyze_many_overlays
 
     def _batch_request(self, document: Dict[str, Any], expected: int) -> List[Schedule]:
         """POST ``/batch`` and decode the shared batch response contract."""
@@ -329,10 +298,13 @@ class ServiceClient:
             None if record is None else self._schedule(record, f"batch[{index}]")
             for index, record in enumerate(records)
         ]
-        failures = {
-            int(index): str(message)
-            for index, message in (response.get("failures") or {}).items()
-        }
+        try:
+            failures = {
+                int(index): str(message)
+                for index, message in (response.get("failures") or {}).items()
+            }
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ServiceError(f"batch response carries a malformed failures map: {exc}") from exc
         if failures:
             raise BatchExecutionError(
                 f"{len(failures)} of {expected} job(s) failed on the service: "

@@ -78,7 +78,9 @@ class TestOverlayPayloadTransport:
         probe = kernel.with_overlay(kernel.scaled_demand_overlay(1.5), name="d15")
         job = AnalysisJob(problem=probe, algorithm="incremental", index=3)
         payload = job.to_payload()
-        assert "overlay" in payload and "base_problem" in payload
+        assert "delta" in payload and "base_problem" in payload
+        assert payload["delta"]["format"] == "repro-overlay"
+        assert payload["base_structure_digest"] == job.structure_digest
         _clear_kernel_memo()
         rebuilt = AnalysisJob.from_payload(payload)
         assert rebuilt.index == 3
@@ -105,7 +107,7 @@ class TestOverlayPayloadTransport:
         payload = AnalysisJob(problem=probe).to_payload()
         payload.pop("base_problem")
         # poison the memo key so the worker-side kernel cache cannot serve it
-        payload["split_digests"] = ["0" * 64, payload["split_digests"][1]]
+        payload["base_structure_digest"] = "0" * 64
         with pytest.raises(EngineError):
             AnalysisJob.from_payload(payload, structures={})
 

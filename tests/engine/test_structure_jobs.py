@@ -71,7 +71,7 @@ class TestStructuralPayloads:
             expected = analyze(probe, "incremental")
             job = AnalysisJob(problem=probe, algorithm="incremental", index=2)
             payload = job.to_payload()
-            assert "structure_delta" in payload
+            assert payload["delta"]["format"] == "repro-structure-delta"
             assert "base_problem" in payload
             assert "base_structure_digest" in payload
             _clear_kernel_memo()

@@ -2,12 +2,21 @@
 
 import pytest
 
-from repro.core import StructureOverlay, analyze_incremental, compile_problem
+from repro.core import (
+    OverlayProblem,
+    PatchedProblem,
+    StructureOverlay,
+    analyze_incremental,
+    compile_problem,
+)
 from repro.errors import SerializationError
 from repro.generators import ChainsConfig, generate_chains
 from repro.io import (
+    delta_from_dict,
+    delta_parent,
+    delta_to_dict,
+    is_structure_delta,
     overlay_from_dict,
-    patched_from_dict,
     structure_delta_from_dict,
     structure_delta_to_dict,
 )
@@ -48,16 +57,77 @@ class TestRoundTrip:
         _, name = structure_delta_from_dict(record)
         assert name is None
 
-    def test_patched_from_dict_applies_and_warm_starts(self, kernel):
+    def test_delta_from_dict_applies_and_warm_starts(self, kernel):
         parent_schedule = analyze_incremental(kernel.problem)
         names = [kernel.names[index] for index in kernel.topo_order]
         record = structure_delta_to_dict(
             StructureOverlay.remap_task(names[1], core=2), name="what-if"
         )
-        probe = patched_from_dict(record, kernel, parent_schedule=parent_schedule)
+        probe = delta_from_dict(record, kernel, parent_schedule=parent_schedule)
+        assert isinstance(probe, PatchedProblem)
         assert probe.name == "what-if"
         assert probe.parent is kernel
         assert probe.warm is not None
+
+
+class TestDeltaCodec:
+    """One codec for both record formats, told apart by the ``format`` tag."""
+
+    def test_structural_probe_round_trips(self, kernel):
+        names = [kernel.names[index] for index in kernel.topo_order]
+        producer = next(i for i in kernel.topo_order if kernel.dependents_of(i))
+        applicable = [
+            StructureOverlay.noop(),
+            StructureOverlay.add_task("extra", wcet=7, core=1, demand={0: 2, 1: 1}),
+            StructureOverlay.remove_task(names[-1]),
+            StructureOverlay.add_edge(names[0], names[5], volume=3),
+            StructureOverlay.remove_edge(
+                kernel.names[producer], kernel.names[kernel.dependents_of(producer)[0]]
+            ),
+            StructureOverlay.remap_task(names[1], core=2),
+        ]
+        for delta in applicable:
+            probe = PatchedProblem(kernel, delta, name=f"probe-{delta.kind}")
+            record = delta_to_dict(probe)
+            assert record == structure_delta_to_dict(delta, name=probe.name)
+            assert is_structure_delta(record)
+            assert delta_parent(probe) is kernel
+            rebuilt = delta_from_dict(record, delta_parent(probe))
+            assert isinstance(rebuilt, PatchedProblem)
+            assert rebuilt.name == probe.name
+            assert rebuilt.delta == delta
+
+    def test_overlay_probe_round_trips(self, kernel):
+        probe = kernel.with_overlay(kernel.scaled_wcet_overlay(1.5), name="w15")
+        record = delta_to_dict(probe)
+        assert record["format"] == "repro-overlay"
+        assert not is_structure_delta(record)
+        assert delta_parent(probe) is kernel
+        rebuilt = delta_from_dict(record, kernel)
+        assert type(rebuilt) is OverlayProblem
+        assert rebuilt.kernel is kernel
+        assert rebuilt.overlay == probe.overlay
+        assert rebuilt.name == "w15"
+
+    def test_handed_over_child_and_warm_bundle_are_reused(self, kernel):
+        names = [kernel.names[index] for index in kernel.topo_order]
+        probe = PatchedProblem(
+            kernel,
+            StructureOverlay.remap_task(names[1], core=2),
+            parent_schedule=analyze_incremental(kernel.problem),
+        )
+        rebuilt = delta_from_dict(
+            delta_to_dict(probe), kernel, child=probe.kernel, warm=probe.warm
+        )
+        assert rebuilt.kernel is probe.kernel
+        assert rebuilt.warm is probe.warm
+
+    def test_foreign_records_rejected(self, kernel):
+        for record in ({"format": "repro-problem"}, {"version": 1}, [], "x", None):
+            with pytest.raises(SerializationError, match="repro-overlay"):
+                is_structure_delta(record)
+            with pytest.raises(SerializationError, match="repro-structure-delta"):
+                delta_from_dict(record, kernel)
 
 
 class TestStrictKeyRejection:

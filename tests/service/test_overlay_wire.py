@@ -91,11 +91,12 @@ class TestServerDeltaBatch:
         client = ServiceClient(server.url)
         document = {
             "problem": problem_to_dict(kernel.problem),
-            "overlays": [{"format": "repro-overlay", "version": 1, "wcet": [1]}],
+            "deltas": [{"format": "repro-overlay", "version": 1, "wcet": [1]}],
         }
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/batch", document)
         assert excinfo.value.status == 400
+        assert "deltas[0]" in str(excinfo.value)
 
     def test_server_compiles_base_once_per_delta_batch(self, server, kernel):
         from repro.core import compilation_count

@@ -10,6 +10,7 @@ drop-in for local analysis).
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -177,6 +178,51 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_a_prompt_400_on_a_live_connection(
+        self, service, length
+    ):
+        server, _, _ = service
+        with socket.create_connection((server.host, server.port), timeout=3) as conn:
+            stream = conn.makefile("rb")
+
+            def exchange(request: bytes):
+                conn.sendall(request)
+                status = int(stream.readline().split()[1])
+                headers = {}
+                for line in iter(stream.readline, b"\r\n"):
+                    key, _, value = line.decode("latin-1").partition(":")
+                    headers[key.strip().lower()] = value.strip()
+                return status, json.loads(stream.read(int(headers["content-length"])))
+
+            # a read blocked on the body would trip the 3 s socket timeout
+            status, body = exchange(
+                f"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+                .encode("ascii")
+            )
+            assert status == 400
+            assert "error" in body
+            # the same connection still serves the next request
+            status, body = exchange(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert status == 200 and body["status"] == "ok"
+
+    def test_malformed_batch_failures_map_is_a_service_error(self, service):
+        server, _, _ = service
+        good = ServiceClient(server.url, timeout=30)
+
+        class SkewedClient(ServiceClient):
+            """Rewrites the failures map the way a broken server might."""
+
+            def _transport(self, method, path, document=None):
+                body = json.loads(super()._transport(method, path, document))
+                body["failures"] = {"first": "boom"}
+                return json.dumps(body).encode("utf-8")
+
+        problems = _sweep(2)
+        assert len(good.analyze_many(problems)) == 2
+        with pytest.raises(ServiceError, match="failures map"):
+            SkewedClient(server.url, timeout=30).analyze_many(problems)
 
     def test_missing_problem_400_with_message(self, service):
         _, client, _ = service

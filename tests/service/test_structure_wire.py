@@ -93,34 +93,69 @@ class TestServerStructuralBatch:
         record["surprise"] = 1
         document = {
             "problem": problem_to_dict(kernel.problem),
-            "structure_deltas": [record],
+            "deltas": [record],
         }
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/batch", document)
         assert excinfo.value.status == 400
-        assert "structure_deltas[0]" in str(excinfo.value)
+        assert "deltas[0]" in str(excinfo.value)
 
     def test_delta_against_unknown_task_is_a_400(self, server, kernel):
         client = ServiceClient(server.url)
         record = structure_delta_to_dict(StructureOverlay.remove_task("no-such-task"))
         document = {
             "problem": problem_to_dict(kernel.problem),
-            "structure_deltas": [record],
+            "deltas": [record],
         }
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/batch", document)
         assert excinfo.value.status == 400
 
-    def test_mixing_overlays_and_structure_deltas_is_a_400(self, server, kernel):
+    def test_mixed_overlay_and_structure_batch_matches_local_analysis(
+        self, server, kernel
+    ):
+        from repro.core import compilation_count
+
+        client = ServiceClient(server.url)
+        structural = _probes(kernel)
+        overlays = [
+            kernel.with_overlay(kernel.scaled_wcet_overlay(factor), name=f"w-{factor}")
+            for factor in (1.0, 1.5)
+        ]
+        probes = [overlays[0], *structural[:2], overlays[1], *structural[2:]]
+        before = compilation_count()
+        remote = client.analyze_many_overlays(probes, algorithm="incremental")
+        # one server-side parent compilation for the whole mixed batch
+        assert compilation_count() - before == 1
+        for probe, schedule in zip(probes, remote):
+            local = analyze(probe, "incremental")
+            assert schedule.to_dict()["entries"] == local.to_dict()["entries"]
+            assert schedule.schedulable == local.schedulable
+            assert schedule.problem_name == probe.name
+        structural_hits = sum(
+            schedule.stats.warm_start_hits
+            for probe, schedule in zip(probes, remote)
+            if isinstance(probe, PatchedProblem)
+        )
+        overlay_hits = sum(
+            schedule.stats.warm_start_hits
+            for probe, schedule in zip(probes, remote)
+            if not isinstance(probe, PatchedProblem)
+        )
+        assert structural_hits > 0 and overlay_hits == 0
+        assert client.stats()["runtime"]["warm_start_hits"] == structural_hits
+
+    @pytest.mark.parametrize("legacy", ["overlays", "structure_deltas"])
+    def test_legacy_batch_keys_are_a_400(self, server, kernel, legacy):
         client = ServiceClient(server.url)
         document = {
             "problem": problem_to_dict(kernel.problem),
-            "overlays": [],
-            "structure_deltas": [structure_delta_to_dict(StructureOverlay.noop())],
+            legacy: [structure_delta_to_dict(StructureOverlay.noop())],
         }
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/batch", document)
         assert excinfo.value.status == 400
+        assert legacy in str(excinfo.value)
 
     def test_mixed_parents_rejected_client_side(self, server, problem):
         client = ServiceClient(server.url)
@@ -165,7 +200,7 @@ class TestDispatcherStructuralUnits:
             def __init__(self, base_url, *, timeout=None):
                 self.base_url = base_url
 
-            def analyze_many_structures(self, probes, *, algorithm=None, priority=0):
+            def analyze_many_overlays(self, probes, *, algorithm=None, priority=0):
                 calls["structure"] += 1
                 raise ServiceError("unknown batch form", status=400)
 
@@ -192,6 +227,29 @@ class TestDispatcherStructuralUnits:
         for probe, schedule in zip(probes, schedules):
             local = top_analyze(probe)
             assert schedule.to_dict()["entries"] == local.to_dict()["entries"]
+
+    def test_mixed_generation_dispatches_as_one_unit(self, server, kernel):
+        probes = [
+            *_probes(kernel),
+            kernel.with_overlay(kernel.scaled_demand_overlay(1.5), name="d15"),
+        ]
+        expected = [analyze(p, "incremental") for p in probes]
+        dispatcher = ClusterDispatcher([server.url])  # delta_batch=8 > 5 probes
+        jobs = [
+            AnalysisJob(problem=p, algorithm="incremental", index=i)
+            for i, p in enumerate(probes)
+        ]
+        try:
+            assert dispatcher._plan_units(jobs) == [list(range(len(probes)))]
+        finally:
+            dispatcher.close()
+        requests_before = server._requests
+        with EngineRuntime(backend="remote", endpoints=[server.url]) as runtime:
+            remote = runtime.run(jobs)
+        for left, right in zip(remote, expected):
+            assert left.to_dict()["entries"] == right.to_dict()["entries"]
+        # the overlay and structural probes travel as one /batch request
+        assert server._requests - requests_before == 1
 
     def test_remote_backend_is_bit_identical_and_batched(self, server, kernel):
         probes = _probes(kernel)
