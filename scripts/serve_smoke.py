@@ -3,8 +3,10 @@
 
 Used by CI (and runnable by hand) to prove the service stack end to end
 through a *real* subprocess and real HTTP: health check, single analysis,
-batch round-trip against the in-process engine, a minimal-horizon search and
-the telemetry endpoint.
+batch round-trip against the in-process engine, a minimal-horizon search,
+the telemetry endpoint, and two bad inputs (a core order contradicting the
+dependencies, an overlay on a bank the platform lacks) that must each be a
+400 naming the offending field.
 
 Usage::
 
@@ -29,8 +31,22 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import analyze_many  # noqa: E402
 from repro.analysis import minimal_horizon  # noqa: E402
+from repro.core import ParamOverlay, compile_problem  # noqa: E402
+from repro.errors import ServiceError  # noqa: E402
 from repro.generators import fixed_ls_workload  # noqa: E402
+from repro.io import delta_to_dict, problem_to_dict  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
+
+
+def expect_400(client: ServiceClient, path: str, document: dict, field: str) -> str:
+    """POST ``document``; the server must answer 400 naming ``field``."""
+    try:
+        client._request("POST", path, document)
+    except ServiceError as exc:
+        assert exc.status == 400, f"{path}: expected 400, got {exc.status}: {exc}"
+        assert field in str(exc), f"{path}: error does not name {field!r}: {exc}"
+        return str(exc)
+    raise AssertionError(f"{path}: bad input was accepted")
 
 
 def main() -> int:
@@ -112,6 +128,20 @@ def main() -> int:
         search = client.search(problems[0], kind="horizon")
         assert search["minimal_horizon"] == minimal_horizon(problems[0]), search
         print(f"search ok (minimal horizon {search['minimal_horizon']})", flush=True)
+
+        reversed_order = problem_to_dict(problems[0])
+        reversed_order["mapping"] = {
+            core: order[::-1] for core, order in reversed_order["mapping"].items()
+        }
+        message = expect_400(client, "/analyze", {"problem": reversed_order}, "problem")
+        print(f"contradicting core order ok ({message})", flush=True)
+
+        kernel = compile_problem(problems[0])
+        record = delta_to_dict(kernel.with_overlay(ParamOverlay()))
+        record["accesses"] = [{"999": 1}] * kernel.task_count
+        document = {"problem": problem_to_dict(problems[0]), "deltas": [record]}
+        message = expect_400(client, "/batch", document, "deltas[0]")
+        print(f"overlay on unknown bank ok ({message})", flush=True)
 
         metrics = client.metrics()
         assert "# TYPE repro_runtime_jobs_completed_total counter" in metrics, metrics

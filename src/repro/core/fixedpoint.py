@@ -144,7 +144,8 @@ class FixedPointAnalyzer:
 
         if kernel.cyclic_tasks:
             # the mapping order contradicts the dependencies; Mapping.validate
-            # normally catches this earlier with a clearer message
+            # rejects every validated problem like this (naming one cycle), so
+            # only problems built with validate=False get here
             from ..errors import MappingError
 
             raise MappingError(

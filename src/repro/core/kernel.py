@@ -27,9 +27,9 @@ WCET vector, a replacement demand vector and/or an alternate horizon.
 :class:`OverlayProblem` pairs a kernel with an overlay; both analyzers
 (:class:`~repro.core.incremental.IncrementalAnalyzer`,
 :class:`~repro.core.fixedpoint.FixedPointAnalyzer`) run on it natively —
-no graph copy, no re-validation, no re-walk of the adjacency.  Algorithms that
-are not kernel-aware receive :meth:`OverlayProblem.materialize`, a real
-:class:`~repro.core.problem.AnalysisProblem`, so plug-ins keep working.
+no graph copy, no structure re-validation, no re-walk of the adjacency.
+Algorithms that are not kernel-aware receive :meth:`OverlayProblem.materialize`,
+a real :class:`~repro.core.problem.AnalysisProblem`, so plug-ins keep working.
 
 Kernel compilations are counted process-wide (:func:`compilation_count`) and
 per-schedule (:attr:`~repro.core.schedule.ScheduleStats.kernel_compilations`),
@@ -43,8 +43,9 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..errors import AnalysisError, MappingError, ModelError, PlatformError
+from ..errors import AnalysisError, ModelError
 from ..model import MemoryDemand, Task
+from ..model.taskgraph import kahn_order
 from .problem import AnalysisProblem
 from .schedule import Schedule
 
@@ -177,29 +178,15 @@ class CompiledProblem:
         self.pred_offsets, self.pred_list = _csr(preds)
         self.dep_offsets, self.dep_list = _csr(deps)
 
-        # effective topological order, Kahn's algorithm with the historical
-        # tie-breaking (ready list seeded in insertion order, consumers
-        # appended as they unlock); a contradiction between the per-core
-        # orders and the dependencies leaves the order partial and the
-        # offending tasks in ``cyclic_tasks``
-        in_degree = [len(merged) for merged in preds]
-        ready = [i for i in range(n) if in_degree[i] == 0]
-        head = 0
-        while head < len(ready):
-            node = ready[head]
-            head += 1
-            for consumer in deps[node]:
-                in_degree[consumer] -= 1
-                if in_degree[consumer] == 0:
-                    ready.append(consumer)
-        self.topo_order: Tuple[int, ...] = tuple(ready)
-        if len(ready) != n:
-            ordered = set(ready)
-            self.cyclic_tasks: Tuple[str, ...] = tuple(
-                sorted(name for i, name in enumerate(names) if i not in ordered)
-            )
-        else:
-            self.cyclic_tasks = ()
+        # effective topological order (ready list seeded in id order,
+        # consumers appended as they unlock); a contradiction between the
+        # per-core orders and the dependencies leaves the order partial and
+        # the offending tasks in ``cyclic_tasks``
+        self.topo_order: Tuple[int, ...] = tuple(kahn_order(deps))
+        ordered = set(self.topo_order)
+        self.cyclic_tasks: Tuple[str, ...] = tuple(
+            sorted(name for i, name in enumerate(names) if i not in ordered)
+        )
 
         self.core_ids: Tuple[int, ...] = tuple(sorted(mapping.cores()))
         self.core_orders: Tuple[Tuple[int, ...], ...] = tuple(
@@ -416,11 +403,14 @@ class OverlayProblem:
     """A compiled kernel plus a parameter overlay — analyzable like a problem.
 
     The kernel-aware analyzers run it directly on the index arrays (no graph
-    copy, no validation, no structure walk); everything else —
-    non-kernel-aware plug-in algorithms, the JSON problem format — goes
-    through :meth:`materialize`, which builds (and caches) an equivalent
-    :class:`AnalysisProblem`.  The overlay vectors must match the kernel's
-    task count.
+    copy, no structure walk); everything else — non-kernel-aware plug-in
+    algorithms, the JSON problem format — goes through :meth:`materialize`,
+    which builds (and caches) an equivalent :class:`AnalysisProblem`.  The
+    overlay vectors must match the kernel's task count, and every row of an
+    overlay ``demand`` vector passes the platform's placement check
+    (:meth:`~repro.platform.Platform.check_placement`): an overlay may move
+    a task's accesses to other banks, but only to banks that exist and are
+    not reserved for another core.
 
     ``name`` labels the probe (defaults to the base problem's name); like
     problem names everywhere in the engine it is a label, not content — it
@@ -445,6 +435,10 @@ class OverlayProblem:
             raise ModelError(
                 f"overlay demand vector has {len(overlay.demand)} entries for {n} task(s)"
             )
+        if overlay.demand is not None:
+            check = kernel.problem.platform.check_placement
+            for task, core, row in zip(kernel.names, kernel.core_of, overlay.demand):
+                check(task, core, row.banks())
         self.kernel = kernel
         self.overlay = overlay
         self.name = name if name is not None else kernel.problem.name
@@ -497,7 +491,8 @@ class OverlayProblem:
         The rebuilt problem copies the graph with the overlay's wcet/demand
         vectors applied and carries the overlay's horizon and this probe's
         name; validation is skipped (the structure was validated when the
-        base problem was built, and overlays cannot change it).
+        base problem was built, overlays cannot change it, and the overlay's
+        bank placements were checked when this probe was built).
         """
         if self._materialized is None:
             base = self.kernel.problem
@@ -762,7 +757,7 @@ class StructureOverlay:
         platform = problem.platform
         if kind == "add_task":
             demand = self.demand if self.demand is not None else MemoryDemand.empty()
-            self._check_platform(problem, self.task, self.core, demand)
+            platform.check_placement(self.task, self.core, demand.banks())
             graph = graph.copy()
             graph.add_task(
                 Task(
@@ -796,8 +791,8 @@ class StructureOverlay:
             graph = graph.copy()
             graph.remove_dependency(self.producer, self.consumer)
         elif kind == "remap_task":
-            task = graph.task(self.task)
-            self._check_platform(problem, self.task, self.core, task.demand)
+            demand = graph.task(self.task).demand
+            platform.check_placement(self.task, self.core, demand.banks())
             mapping = mapping.copy()
             mapping.unassign(self.task)
             mapping.assign(self.task, self.core, self.position)
@@ -810,29 +805,6 @@ class StructureOverlay:
             name=name if name is not None else problem.name,
             validate=False,
         )
-
-    @staticmethod
-    def _check_platform(
-        problem: AnalysisProblem, task: str, core: int, demand: MemoryDemand
-    ) -> None:
-        platform = problem.platform
-        if not platform.has_core(core):
-            raise PlatformError(
-                f"delta maps task {task!r} to core {core} which does not exist "
-                f"on platform {platform.name!r}"
-            )
-        for bank in demand.banks():
-            if not platform.has_bank(bank):
-                raise PlatformError(
-                    f"task {task!r} accesses bank {bank} which does not exist "
-                    f"on platform {platform.name!r}"
-                )
-            reserved = platform.bank(bank).reserved_for
-            if reserved is not None and core != reserved:
-                raise MappingError(
-                    f"task {task!r} (core {core}) accesses bank {bank} "
-                    f"reserved for core {reserved}"
-                )
 
     # -- value semantics -------------------------------------------------
 

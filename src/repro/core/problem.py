@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..arbiter import BusArbiter, default_arbiter
-from ..errors import MappingError, ModelError, PlatformError
+from ..errors import ModelError
 from ..model import Mapping, TaskGraph
 from ..platform import Platform
 
@@ -63,25 +63,11 @@ class AnalysisProblem:
     def validate(self) -> None:
         """Check cross-consistency of all the pieces; raises on violation."""
         self.graph.validate()
-        self.mapping.validate(self.graph, require_complete=True)
-        for core in self.mapping.cores():
-            if not self.platform.has_core(core):
-                raise PlatformError(
-                    f"mapping uses core {core} which does not exist on platform {self.platform.name!r}"
-                )
+        self.mapping.validate(self.graph)
         for task in self.graph:
-            for bank in task.demand.banks():
-                if not self.platform.has_bank(bank):
-                    raise PlatformError(
-                        f"task {task.name!r} accesses bank {bank} which does not exist "
-                        f"on platform {self.platform.name!r}"
-                    )
-                reserved = self.platform.bank(bank).reserved_for
-                if reserved is not None and self.mapping.core_of(task.name) != reserved:
-                    raise MappingError(
-                        f"task {task.name!r} (core {self.mapping.core_of(task.name)}) accesses "
-                        f"bank {bank} reserved for core {reserved}"
-                    )
+            self.platform.check_placement(
+                task.name, self.mapping.core_of(task.name), task.demand.banks()
+            )
 
     # ------------------------------------------------------------------
     # derived views used by the analyses

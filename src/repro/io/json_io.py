@@ -125,7 +125,8 @@ def problem_to_dict(problem: AnalysisProblem) -> Dict[str, Any]:
 
 
 def problem_from_dict(data: Dict[str, Any]) -> AnalysisProblem:
-    """Deserialize an analysis problem; raises :class:`SerializationError` on bad input."""
+    """Deserialize and validate an analysis problem; raises :class:`SerializationError`
+    on a malformed document and on content that fails validation (cause chained)."""
     if data.get("format") != _PROBLEM_FORMAT:
         raise SerializationError(
             f"not a {_PROBLEM_FORMAT} document (format={data.get('format')!r})"
@@ -144,9 +145,7 @@ def problem_from_dict(data: Dict[str, Any]) -> AnalysisProblem:
             horizon=None if horizon is None else int(horizon),
             name=str(data.get("name", graph.name)),
         )
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ModelError, TypeError, ValueError) as exc:
         raise SerializationError(f"invalid problem document: {exc}") from exc
 
 
@@ -186,7 +185,8 @@ def overlay_from_dict(data: Dict[str, Any], kernel: CompiledProblem) -> OverlayP
     so base + overlays round-trip the wire consistently.
 
     :raises SerializationError: on a foreign document, unknown keys,
-        mismatched vector lengths or malformed values.
+        mismatched vector lengths, malformed values, or demand on a bank the
+        platform lacks or reserves for another core.
     """
     if not isinstance(data, dict) or data.get("format") != _OVERLAY_FORMAT:
         found = data.get("format") if isinstance(data, dict) else type(data).__name__
@@ -215,9 +215,7 @@ def overlay_from_dict(data: Dict[str, Any], kernel: CompiledProblem) -> OverlayP
         return OverlayProblem(
             kernel, overlay, name=None if name is None else str(name)
         )
-    except ModelError as exc:
-        raise SerializationError(f"invalid overlay record: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, ModelError, TypeError, ValueError) as exc:
         raise SerializationError(f"invalid overlay record: {exc}") from exc
 
 
@@ -339,9 +337,7 @@ def structure_delta_from_dict(
                     None if data.get("position") is None else int(data["position"])
                 ),
             )
-    except ModelError as exc:
-        raise SerializationError(f"invalid structure-delta record: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, ModelError, TypeError, ValueError) as exc:
         raise SerializationError(f"invalid structure-delta record: {exc}") from exc
     return delta, None if name is None else str(name)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 from ..errors import MappingError, UnknownTaskError
-from .taskgraph import TaskGraph
+from .taskgraph import TaskGraph, find_cycle, kahn_order
 
 __all__ = ["Mapping"]
 
@@ -124,37 +124,42 @@ class Mapping:
     # validation
     # ------------------------------------------------------------------
 
-    def validate(self, graph: TaskGraph, *, require_complete: bool = True) -> None:
+    def validate(self, graph: TaskGraph) -> None:
         """Check consistency between the mapping and a task graph.
 
-        * every mapped task exists in the graph;
-        * when ``require_complete``, every graph task is mapped;
-        * the per-core order does not contradict the dependency order: if task
-          ``a`` precedes ``b`` on the same core, then ``b`` must not be a
-          (transitive) dependency of ``a``.  Such a contradiction would make
-          the schedule infeasible regardless of timing.
+        * every mapped task exists in the graph, and every graph task is mapped;
+        * the per-core orders do not contradict the dependencies: the union of
+          the dependency edges and the same-core order edges (each task waits
+          for the one before it on its core) must be acyclic.  A cycle means
+          some task can never start regardless of timing — a task ordered
+          before its own (transitive) dependency on one core, or a deadlock
+          across cores (``a -> d`` and ``c -> b`` with ``[b, a]`` on one core
+          and ``[d, c]`` on another).  This is the relation the analyses
+          schedule over; one O(tasks + edges) Kahn pass decides it.
         """
         for task in self._core_of:
             if task not in graph:
                 raise UnknownTaskError(task)
-        if require_complete:
-            unmapped = [t.name for t in graph if t.name not in self._core_of]
-            if unmapped:
-                raise MappingError(
-                    "tasks not mapped to any core: " + ", ".join(sorted(unmapped)[:8])
-                )
-        for core, order in self.items():
-            seen = set()
-            for name in order:
-                preds = graph.transitive_predecessors(name)
-                later = set(order[order.index(name) + 1 :])
-                conflict = preds & later
-                if conflict:
-                    raise MappingError(
-                        f"core {core}: task {name!r} is ordered before its dependency "
-                        f"{sorted(conflict)[0]!r}"
-                    )
-                seen.add(name)
+        unmapped = [t.name for t in graph if t.name not in self._core_of]
+        if unmapped:
+            raise MappingError(
+                "tasks not mapped to any core: " + ", ".join(sorted(unmapped)[:8])
+            )
+        names, successors = graph.successor_ids()
+        index = {name: i for i, name in enumerate(names)}
+        for order in self._order.values():
+            for before, after in zip(order, order[1:]):
+                successors[index[before]].append(index[after])
+        if len(kahn_order(successors)) == len(names):
+            return
+        cycle = [names[i] for i in find_cycle(successors)]
+        cores = {
+            self._core_of[a] for a, b in zip(cycle, cycle[1:]) if not graph.has_dependency(a, b)
+        }
+        raise MappingError(
+            f"the execution order on core(s) {', '.join(map(str, sorted(cores)))} "
+            f"contradicts the task dependencies: cycle {' -> '.join(cycle)}"
+        )
 
     # ------------------------------------------------------------------
     # value semantics / IO helpers

@@ -20,7 +20,59 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from ..errors import CyclicDependencyError, GraphError, UnknownTaskError
 from .task import MemoryDemand, Task
 
-__all__ = ["Dependency", "TaskGraph"]
+__all__ = ["Dependency", "TaskGraph", "find_cycle", "kahn_order"]
+
+
+def kahn_order(successors: Sequence[Sequence[int]]) -> List[int]:
+    """Kahn's algorithm over task ids ``0 .. len(successors) - 1``.
+
+    ``successors[i]`` lists the ids that wait for ``i`` (a repeated id counts
+    as one edge per occurrence).  The ready list starts in id order and each
+    successor is appended, in row order, as it unlocks, so the result is
+    deterministic.  Returns every id reached: all of them for an acyclic
+    relation, only those not on or behind a cycle otherwise.  O(ids + edges).
+    """
+    in_degree = [0] * len(successors)
+    for row in successors:
+        for succ in row:
+            in_degree[succ] += 1
+    ready = [i for i, degree in enumerate(in_degree) if degree == 0]
+    head = 0
+    while head < len(ready):
+        for succ in successors[ready[head]]:
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                ready.append(succ)
+        head += 1
+    return ready
+
+
+def find_cycle(successors: Sequence[Sequence[int]]) -> List[int]:
+    """One cycle of the relation of :func:`kahn_order` (for error messages).
+
+    Returns the ids along the cycle, first id repeated at the end, or ``[]``
+    when the relation is acyclic.  Iterative depth-first search, started in
+    id order.
+    """
+    state = [0] * len(successors)  # 0 unvisited, 1 on the search path, 2 done
+    for start in range(len(successors)):
+        if state[start]:
+            continue
+        state[start] = 1
+        path, pending = [start], [iter(successors[start])]
+        while path:
+            for succ in pending[-1]:
+                if state[succ] == 1:
+                    return path[path.index(succ) :] + [succ]
+                if state[succ] == 0:
+                    state[succ] = 1
+                    path.append(succ)
+                    pending.append(iter(successors[succ]))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
+    return []
 
 
 class Dependency:
@@ -70,9 +122,7 @@ class TaskGraph:
 
     * unique task names;
     * edges referencing declared tasks only;
-    * acyclicity — checked lazily by :meth:`validate` and by
-      :meth:`topological_order`, and eagerly by :meth:`add_dependency` when
-      ``check_cycles=True`` is passed.
+    * acyclicity — checked by :meth:`validate` and :meth:`topological_order`.
     """
 
     def __init__(self, name: str = "taskgraph") -> None:
@@ -104,20 +154,11 @@ class TaskGraph:
             raise UnknownTaskError(task.name)
         self._tasks[task.name] = task
 
-    def add_dependency(
-        self,
-        producer: str,
-        consumer: str,
-        volume: int = 0,
-        *,
-        check_cycles: bool = False,
-    ) -> Dependency:
+    def add_dependency(self, producer: str, consumer: str, volume: int = 0) -> Dependency:
         """Add a dependency edge ``producer -> consumer``.
 
         Adding an edge that already exists merges the volumes (the producer
-        writes both payloads).  When ``check_cycles`` is true the graph is
-        re-validated immediately, which is convenient in interactive use but
-        quadratic when building large graphs edge by edge.
+        writes both payloads).  Cycles are detected by :meth:`validate`.
         """
         if producer not in self._tasks:
             raise UnknownTaskError(producer)
@@ -130,8 +171,6 @@ class TaskGraph:
             dep = Dependency(producer, consumer, volume)
         self._successors[producer][consumer] = dep
         self._predecessors[consumer][producer] = dep
-        if check_cycles:
-            self.validate()
         return dep
 
     def remove_dependency(self, producer: str, consumer: str) -> None:
@@ -230,27 +269,27 @@ class TaskGraph:
     # structural algorithms
     # ------------------------------------------------------------------
 
+    def successor_ids(self) -> Tuple[List[str], List[List[int]]]:
+        """Task names in insertion order and, per task id, its successors' ids.
+
+        Task ids are positions in the name list; each successor row keeps the
+        order in which the edges were added.
+        """
+        names = list(self._tasks)
+        index = {name: i for i, name in enumerate(names)}
+        return names, [[index[succ] for succ in self._successors[name]] for name in names]
+
     def topological_order(self) -> List[str]:
         """A topological ordering of the task names (Kahn's algorithm).
 
         Raises :class:`CyclicDependencyError` when the graph has a cycle.
         Ties are broken by insertion order so the result is deterministic.
         """
-        in_deg = {name: len(self._predecessors[name]) for name in self._tasks}
-        ready = [name for name in self._tasks if in_deg[name] == 0]
-        order: List[str] = []
-        head = 0
-        while head < len(ready):
-            name = ready[head]
-            head += 1
-            order.append(name)
-            for succ in self._successors[name]:
-                in_deg[succ] -= 1
-                if in_deg[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self._tasks):
-            raise CyclicDependencyError(self._find_cycle())
-        return order
+        names, successors = self.successor_ids()
+        order = kahn_order(successors)
+        if len(order) != len(names):
+            raise CyclicDependencyError([names[i] for i in find_cycle(successors)])
+        return [names[i] for i in order]
 
     def validate(self) -> None:
         """Check structural invariants; raises on violation."""
@@ -268,43 +307,6 @@ class TaskGraph:
         except CyclicDependencyError:
             return False
         return True
-
-    def _find_cycle(self) -> List[str]:
-        """Return one dependency cycle (for error messages)."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self._tasks}
-        parent: Dict[str, Optional[str]] = {}
-
-        for start in self._tasks:
-            if color[start] != WHITE:
-                continue
-            stack: List[Tuple[str, Iterator[str]]] = [(start, iter(self._successors[start]))]
-            color[start] = GREY
-            parent[start] = None
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if color[succ] == WHITE:
-                        color[succ] = GREY
-                        parent[succ] = node
-                        stack.append((succ, iter(self._successors[succ])))
-                        advanced = True
-                        break
-                    if color[succ] == GREY:
-                        # reconstruct the cycle succ -> ... -> node -> succ
-                        cycle = [succ]
-                        cursor: Optional[str] = node
-                        while cursor is not None and cursor != succ:
-                            cycle.append(cursor)
-                            cursor = parent.get(cursor)
-                        cycle.append(succ)
-                        cycle.reverse()
-                        return cycle
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return []
 
     def transitive_predecessors(self, name: str) -> Set[str]:
         """All (direct and indirect) dependencies of ``name``."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..errors import PlatformError
+from ..errors import MappingError, PlatformError
 
 __all__ = ["Core", "MemoryBank", "Platform"]
 
@@ -191,6 +191,30 @@ class Platform:
 
     def has_bank(self, identifier: int) -> bool:
         return identifier in self._banks
+
+    def check_placement(self, task: str, core: int, banks: Iterable[int]) -> None:
+        """Check that ``task`` may run on ``core`` and access ``banks``.
+
+        :raises PlatformError: the core or a bank does not exist.
+        :raises MappingError: a bank is reserved for another core.
+        """
+        if core not in self._cores:
+            raise PlatformError(
+                f"task {task!r} is mapped to core {core} which does not exist "
+                f"on platform {self.name!r}"
+            )
+        for bank in banks:
+            record = self._banks.get(bank)
+            if record is None:
+                raise PlatformError(
+                    f"task {task!r} accesses bank {bank} which does not exist "
+                    f"on platform {self.name!r}"
+                )
+            if record.reserved_for is not None and record.reserved_for != core:
+                raise MappingError(
+                    f"task {task!r} (core {core}) accesses bank {bank} "
+                    f"reserved for core {record.reserved_for}"
+                )
 
     def clusters(self) -> Dict[int, List[Core]]:
         """Cores grouped by cluster identifier."""

@@ -49,8 +49,12 @@ Endpoints
 ``GET /healthz``
     Liveness probe (also what the cluster dispatcher's quarantine re-probes).
 
-Errors come back as ``{"error": "..."}`` with 400 (bad request), 404, 405,
-422 (analysis failed) or 500.
+Errors come back as ``{"error": "..."}`` with 400, 404, 405, 422 or 500.
+A 400 is a bad request: malformed JSON or fields, and also problem or delta
+content that fails validation (cyclic graph, a core order contradicting the
+dependencies, an unknown core or bank, a bank reserved for another core);
+the message names the offending field (``problem``, ``problems[i]``,
+``deltas[i]``).  A 422 means a valid request whose analysis failed.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def _parse_problem(document: Dict[str, Any], field: str = "problem") -> Any:
     try:
         return problem_from_dict(record)
     except SerializationError as exc:
-        raise _BadRequest(str(exc)) from exc
+        raise _BadRequest(f"{field}: {exc}") from exc
 
 
 class AnalysisServer:

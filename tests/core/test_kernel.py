@@ -13,9 +13,9 @@ from repro.core import (
     compile_problem,
 )
 from repro.core.kernel import KEEP_HORIZON
-from repro.errors import AnalysisError, MappingError, ModelError
+from repro.errors import AnalysisError, MappingError, ModelError, PlatformError
 from repro.model import MemoryDemand, Mapping, TaskGraph
-from repro.platform import quad_core_single_bank
+from repro.platform import partitioned_banks, quad_core_single_bank
 
 from .reference_impl import reference_incremental
 
@@ -193,6 +193,26 @@ class TestOverlayProblem:
         # only the compilation provenance differs
         assert plain.stats.kernel_compilations == 1
         assert via_overlay.stats.kernel_compilations == 0
+
+    def test_demand_on_unknown_bank_rejected(self):
+        kernel = compile_problem(diamond())
+        demand = list(kernel.demand)
+        demand[kernel.index_of["right"]] = MemoryDemand({999: 5})
+        with pytest.raises(PlatformError, match="'right' accesses bank 999"):
+            kernel.with_overlay(ParamOverlay(demand=demand))
+
+    def test_demand_on_foreign_reserved_bank_rejected(self):
+        builder = TaskGraphBuilder("private")
+        builder.task("a", wcet=10, accesses={0: 4}, core=0)
+        builder.task("b", wcet=10, accesses={1: 4}, core=1)
+        graph, mapping = builder.build_both()
+        # banks 0 and 1 are reserved for cores 0 and 1, bank 2 is shared
+        kernel = compile_problem(AnalysisProblem(graph, mapping, partitioned_banks(2)))
+        moved = ParamOverlay(demand=[MemoryDemand({1: 4}), MemoryDemand({2: 4})])
+        with pytest.raises(MappingError, match=r"'a' \(core 0\) accesses bank 1 reserved"):
+            kernel.with_overlay(moved)
+        shared = ParamOverlay(demand=[MemoryDemand({2: 4}), MemoryDemand({1: 1})])
+        assert kernel.with_overlay(shared).demand_vector() == shared.demand
 
     def test_non_kernel_aware_algorithm_gets_materialized_problem(self):
         from repro.core import register_algorithm

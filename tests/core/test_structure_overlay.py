@@ -31,7 +31,8 @@ from repro.core import (
     schedule_violations,
     structural_dirty_names,
 )
-from repro.errors import ReproError
+from repro import AnalysisProblem, TaskGraphBuilder
+from repro.errors import MappingError, PlatformError, ReproError
 from repro.generators import (
     ChainsConfig,
     ForkJoinConfig,
@@ -42,6 +43,7 @@ from repro.generators import (
     generate_layer_by_layer,
     generate_series_parallel,
 )
+from repro.platform import partitioned_banks
 
 
 def zoo(seed):
@@ -128,6 +130,44 @@ def valid_remap(kernel, name):
             continue
         return delta
     return None
+
+
+class TestPlacementChecks:
+    """Structural edits pass the platform's placement check, like validation."""
+
+    @staticmethod
+    def kernel():
+        builder = TaskGraphBuilder("private")
+        builder.task("a", wcet=10, accesses={0: 4}, core=0)
+        builder.task("b", wcet=10, accesses={2: 4}, core=1)
+        graph, mapping = builder.build_both()
+        # banks 0 and 1 are reserved for cores 0 and 1, bank 2 is shared
+        return compile_problem(AnalysisProblem(graph, mapping, partitioned_banks(2)))
+
+    @pytest.mark.parametrize(
+        "delta, error, message",
+        [
+            (StructureOverlay.add_task("c", wcet=5, core=7), PlatformError, "core 7"),
+            (
+                StructureOverlay.add_task("c", wcet=5, core=0, demand={9: 1}),
+                PlatformError,
+                "bank 9",
+            ),
+            (
+                StructureOverlay.add_task("c", wcet=5, core=0, demand={1: 1}),
+                MappingError,
+                "reserved for core 1",
+            ),
+            (StructureOverlay.remap_task("a", core=1), MappingError, "reserved for core 0"),
+        ],
+    )
+    def test_misplaced_edit_rejected(self, delta, error, message):
+        with pytest.raises(error, match=message):
+            patch_problem(self.kernel(), delta)
+
+    def test_edit_on_shared_bank_applies(self):
+        child = patch_problem(self.kernel(), StructureOverlay.remap_task("b", core=0))
+        assert child.core_of == (0, 0)
 
 
 class TestPatchedKernelSharing:

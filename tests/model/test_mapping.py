@@ -85,7 +85,6 @@ class TestValidation:
         mapping = Mapping({0: ["a", "b", "c"]})
         with pytest.raises(MappingError):
             mapping.validate(graph)
-        mapping.validate(graph, require_complete=False)
 
     def test_unknown_task_rejected(self):
         graph = simple_graph()

@@ -4,9 +4,10 @@ document is a clean 400 that names the offending position.
 Each generated batch is a run of valid records, then one broken record, then
 more valid records, sent over HTTP to an in-process server.  Whatever the
 breakage — a record that is not an object, a wrong or missing ``format``, an
-unknown key, a vector of the wrong length or type, an unknown task, an edge
-that closes a cycle — the server must answer 400 with ``deltas[i]`` in the
-message, never another status or a dropped connection.
+unknown key, a vector of the wrong length or type, an unknown task, demand on
+a bank the platform lacks, an edge that closes a cycle — the server must
+answer 400 with ``deltas[i]`` in the message, never another status or a
+dropped connection.
 """
 
 from __future__ import annotations
@@ -190,6 +191,14 @@ def unknown_tasks(draw):
     return structure_delta_to_dict(delta, name="broken")
 
 
+@st.composite
+def unknown_banks(draw):
+    record = delta_to_dict(KERNEL.with_overlay(KERNEL.scaled_demand_overlay(1.0)))
+    bank = draw(st.integers(KERNEL.problem.platform.bank_count, 10**6))
+    record["accesses"][draw(st.integers(0, N - 1))] = {str(bank): draw(st.integers(1, 50))}
+    return record
+
+
 cycle_edges = st.sampled_from(REACHABLE).map(
     lambda pair: structure_delta_to_dict(StructureOverlay.add_edge(pair[1], pair[0]))
 )
@@ -200,6 +209,7 @@ broken_records = {
     "unknown-key": unknown_keys(),
     "bad-vector": bad_vectors(),
     "unknown-task": unknown_tasks(),
+    "unknown-bank": unknown_banks(),
     "cycle": cycle_edges,
 }
 

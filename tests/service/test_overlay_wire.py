@@ -3,12 +3,14 @@ client delta batches, dispatcher grouping, and the remote search end-to-end."""
 
 import pytest
 
+from repro import AnalysisProblem, TaskGraphBuilder
 from repro.analysis import SearchDriver, memory_sensitivity
 from repro.core import ParamOverlay, analyze, compile_problem
 from repro.engine.jobs import AnalysisJob
 from repro.errors import ServiceError
 from repro.generators import fixed_ls_workload
 from repro.io import overlay_from_dict, overlay_to_dict, problem_to_dict
+from repro.platform import partitioned_banks
 from repro.service import AnalysisServer, ClusterDispatcher, EngineRuntime, ServiceClient
 
 
@@ -97,6 +99,36 @@ class TestServerDeltaBatch:
             client._request("POST", "/batch", document)
         assert excinfo.value.status == 400
         assert "deltas[0]" in str(excinfo.value)
+
+    def test_overlay_on_unknown_bank_is_a_400(self, server, kernel):
+        record = overlay_to_dict(kernel.with_overlay(ParamOverlay()))
+        record["accesses"] = [{"0": 1} for _ in kernel.names]
+        record["accesses"][3] = {"999": 5}
+        document = {
+            "problem": problem_to_dict(kernel.problem),
+            "deltas": [overlay_to_dict(kernel.with_overlay(ParamOverlay())), record],
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(server.url)._request("POST", "/batch", document)
+        assert excinfo.value.status == 400
+        assert "deltas[1]" in str(excinfo.value)
+        assert "bank 999" in str(excinfo.value)
+
+    def test_overlay_on_foreign_reserved_bank_is_a_400(self, server):
+        builder = TaskGraphBuilder("private")
+        builder.task("a", wcet=10, accesses={0: 4}, core=0)
+        builder.task("b", wcet=10, accesses={1: 4}, core=1)
+        graph, mapping = builder.build_both()
+        # banks 0 and 1 are reserved for cores 0 and 1
+        problem = AnalysisProblem(graph, mapping, partitioned_banks(2))
+        record = overlay_to_dict(compile_problem(problem).with_overlay(ParamOverlay()))
+        record["accesses"] = [{"1": 4}, {"1": 4}]
+        document = {"problem": problem_to_dict(problem), "deltas": [record]}
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(server.url)._request("POST", "/batch", document)
+        assert excinfo.value.status == 400
+        assert "deltas[0]" in str(excinfo.value)
+        assert "reserved for core 1" in str(excinfo.value)
 
     def test_server_compiles_base_once_per_delta_batch(self, server, kernel):
         from repro.core import compilation_count

@@ -21,6 +21,7 @@ from repro.analysis import memory_sensitivity, minimal_horizon
 from repro.core.analyzer import register_algorithm
 from repro.errors import BatchExecutionError, ServiceError
 from repro.generators import fixed_ls_workload
+from repro.io import problem_to_dict
 from repro.service import AnalysisServer, EngineRuntime, ServiceClient
 
 
@@ -228,6 +229,41 @@ class TestErrors:
         _, client, _ = service
         with pytest.raises(ServiceError, match="problem"):
             client._request("POST", "/analyze", {"algorithm": "incremental"})
+
+    @staticmethod
+    def _contradicting_order_document():
+        """A problem whose every core runs its tasks in reverse dependency order."""
+        document = problem_to_dict(fixed_ls_workload(32, 8, core_count=4, seed=1).to_problem())
+        document["mapping"] = {
+            core: order[::-1] for core, order in document["mapping"].items()
+        }
+        return document
+
+    def test_contradicting_core_order_is_a_400_on_analyze(self, service):
+        _, client, _ = service
+        document = {"problem": self._contradicting_order_document()}
+        with pytest.raises(ServiceError) as info:
+            client._request("POST", "/analyze", document)
+        assert info.value.status == 400
+        assert "problem: invalid problem document" in str(info.value)
+        assert "contradicts the task dependencies" in str(info.value)
+
+    def test_contradicting_core_order_is_a_400_naming_the_batch_position(self, service):
+        _, client, _ = service
+        good = problem_to_dict(_sweep(1)[0])
+        document = {"problems": [good, self._contradicting_order_document()]}
+        with pytest.raises(ServiceError) as info:
+            client._request("POST", "/batch", document)
+        assert info.value.status == 400
+        assert "problems[1]" in str(info.value)
+
+    def test_contradicting_core_order_is_a_400_on_search(self, service):
+        _, client, _ = service
+        document = {"problem": self._contradicting_order_document(), "kind": "horizon"}
+        with pytest.raises(ServiceError) as info:
+            client._request("POST", "/search", document)
+        assert info.value.status == 400
+        assert "contradicts the task dependencies" in str(info.value)
 
     def test_sensitivity_without_horizon_400(self, service):
         _, client, _ = service
