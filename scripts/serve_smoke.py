@@ -6,7 +6,9 @@ through a *real* subprocess and real HTTP: health check, single analysis,
 batch round-trip against the in-process engine, a minimal-horizon search,
 the telemetry endpoint, and two bad inputs (a core order contradicting the
 dependencies, an overlay on a bank the platform lacks) that must each be a
-400 naming the offending field.
+400 naming the offending field.  Last, the server is stopped with SIGTERM: it
+must exit 0 and leave none of its child processes (the ``process`` backend's
+pool workers) running; children are read from ``/proc/<pid>/task/*/children``.
 
 Usage::
 
@@ -18,6 +20,7 @@ Exits 0 on success, 1 on any mismatch or timeout.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import queue
 import subprocess
@@ -47,6 +50,33 @@ def expect_400(client: ServiceClient, path: str, document: dict, field: str) -> 
         assert field in str(exc), f"{path}: error does not name {field!r}: {exc}"
         return str(exc)
     raise AssertionError(f"{path}: bad input was accepted")
+
+
+def descendants(pid: int) -> set:
+    """Pids of every descendant of ``pid``, read from ``/proc/<pid>/task/*/children``."""
+    found: set = set()
+    frontier = [pid]
+    while frontier:
+        current = frontier.pop()
+        for path in glob.glob(f"/proc/{current}/task/*/children"):
+            try:
+                children = Path(path).read_text().split()
+            except OSError:
+                continue
+            for child in map(int, children):
+                if child not in found:
+                    found.add(child)
+                    frontier.append(child)
+    return found
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def main() -> int:
@@ -164,14 +194,25 @@ def main() -> int:
             f"cache={stats['runtime']['cache']})",
             flush=True,
         )
+        children = descendants(process.pid)
+        process.terminate()
+        code = process.wait(timeout=args.timeout)
+        assert code == 0, f"server exited with {code} on SIGTERM"
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(running, children)):
+            time.sleep(0.1)
+        survivors = sorted(pid for pid in children if running(pid))
+        assert not survivors, f"child processes survived SIGTERM: {survivors}"
+        print(f"sigterm ok (exit 0, {len(children)} child process(es) stopped)", flush=True)
         print("SMOKE PASSED", flush=True)
         return 0
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
+        if process.poll() is None:
+            process.terminate()
+            try:
+                process.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                process.kill()
 
 
 if __name__ == "__main__":

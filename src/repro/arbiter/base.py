@@ -28,8 +28,26 @@ algorithm (and checked by the property-based tests in
   set the interference is 0.
 
 Interference may be *non-additive*: the value for a set of competitors is not
-required to equal the sum of pairwise values (Section II-C).  The analysis
-therefore always re-evaluates the arbiter on the full competitor set.
+required to equal the sum of pairwise values (Section II-C).  The incremental
+analysis therefore charges each new competitor access through
+:meth:`BusArbiter.charge`, whose contract is stated against the full set:
+
+* **Charge equivalence**: ``charge(dest_core, d, table, bank, core, added,
+  old)`` — called after ``added`` accesses of ``core`` were added to
+  ``table``, with ``old`` the value the previous charge returned (0 for an
+  empty table) — returns ``max(old, interference(dest_core, d, table,
+  bank))``.  The default evaluates exactly that, so a plug-in arbiter that
+  only implements :meth:`~BusArbiter.interference` is analysed as it always
+  was, including the monotone clamp that keeps a misbehaving policy from
+  moving finish dates backwards.  A policy may override ``charge`` with a
+  cheaper closed form of the same value; :class:`RoundRobinArbiter
+  <repro.arbiter.RoundRobinArbiter>` does, in O(1).  A subclass that
+  redefines ``interference`` without ``charge`` gets the default back rather
+  than inheriting a closed form of its parent's policy.  An override receives
+  inputs the tracker has already checked (non-negative counts, the
+  destination core absent from the table), so it skips
+  :func:`check_request`; :meth:`~BusArbiter.interference` keeps it for every
+  direct caller.
 """
 
 from __future__ import annotations
@@ -63,6 +81,14 @@ class BusArbiter(ABC):
     #: short machine-readable policy name, overridden by subclasses
     name: str = "abstract"
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a charge() closed form answers for the interference() it was derived
+        # from: a subclass redefining interference() alone falls back to the
+        # default re-evaluation instead of inheriting a stale shortcut
+        if "interference" in vars(cls) and "charge" not in vars(cls):
+            cls.charge = BusArbiter.charge
+
     @abstractmethod
     def interference(
         self,
@@ -87,6 +113,26 @@ class BusArbiter(ABC):
             The contended memory bank (its ``access_latency`` converts access
             counts into cycles).
         """
+
+    def charge(
+        self,
+        dest_core: int,
+        dest_accesses: int,
+        competitors: Mapping[int, int],
+        bank: MemoryBank,
+        source_core: int,
+        added: int,
+        old: int,
+    ) -> int:
+        """Interference on ``bank`` after ``added`` accesses of ``source_core`` joined.
+
+        ``competitors`` is the bank's competitor table *including* the new
+        accesses; ``old`` is the interference before them.  Returns
+        ``max(old, interference(dest_core, dest_accesses, competitors, bank))``
+        — overrides must return the same value (see the module docstring).
+        """
+        new = self.interference(dest_core, dest_accesses, competitors, bank)
+        return new if new > old else old
 
     # ------------------------------------------------------------------
 

@@ -14,6 +14,11 @@ This matches the paper's illustrative example (Section II-A): three cores each
 writing 8 words with a 1-cycle word access receive ``min(8,8) + min(8,8) = 16``
 cycles of interference each.
 
+The sum is separable per core, so when the incremental analysis adds
+``added`` accesses of one core to a bank's competitor table,
+:meth:`RoundRobinArbiter.charge` moves only that core's term and answers in
+O(1) — equal, by construction, to re-evaluating the sum on the whole table.
+
 :class:`WeightedRoundRobinArbiter` generalizes the policy: competitor ``k`` may
 be granted up to ``weight_k`` consecutive accesses per grant cycle (deficit /
 weighted round-robin), so each destination access can be delayed by up to
@@ -51,6 +56,25 @@ class RoundRobinArbiter(BusArbiter):
             if demand > 0:
                 delayed += min(dest_accesses, demand)
         return delayed * bank.access_latency
+
+    def charge(
+        self,
+        dest_core: int,
+        dest_accesses: int,
+        competitors: Mapping[int, int],
+        bank: MemoryBank,
+        source_core: int,
+        added: int,
+        old: int,
+    ) -> int:
+        # only the source core's term of the sum moves:
+        # old + latency * (min(d, before + added) - min(d, before))
+        before = competitors[source_core] - added
+        if before >= dest_accesses:
+            return old
+        after = before + added
+        gained = (after if after < dest_accesses else dest_accesses) - before
+        return old + gained * bank.access_latency
 
     def describe(self) -> str:
         return "round-robin: each access waits for at most one access of every other requesting core"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from contextlib import ExitStack
@@ -665,6 +666,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
         flush=True,
     )
+    # SIGTERM takes the Ctrl-C path: the pool workers are stopped, not orphaned
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -672,6 +675,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     finally:
         server.close()
         runtime.close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

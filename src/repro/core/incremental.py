@@ -321,12 +321,14 @@ class IncrementalAnalyzer:
             # is already alive (and with the new tasks processed before it in
             # this very step); tasks on the same core never interfere.
             for item in opening:
-                item_demand = demand[item.index]
+                item_tracker = item.tracker
+                item_demand = item_tracker.shared_demand
                 for other in alive.values():
                     if other.core == item.core:
                         continue
-                    other.tracker.add_source(item.name, item.core, item_demand)
-                    item.tracker.add_source(other.name, other.core, demand[other.index])
+                    other_tracker = other.tracker
+                    other_tracker.add_source(item.name, item.core, item_demand)
+                    item_tracker.add_source(other.name, other.core, other_tracker.shared_demand)
                 alive[item.index] = item
 
             if self.trace is not None:

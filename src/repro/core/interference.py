@@ -17,7 +17,13 @@ interference in exactly the same way:
 Two entry points are provided:
 
 * :class:`InterferenceTracker` — incremental accounting for one destination
-  task, used by the incremental algorithm while the task is *alive*;
+  task, used by the incremental algorithm while the task is *alive*.  Each
+  charge goes through :meth:`BusArbiter.charge
+  <repro.arbiter.BusArbiter.charge>`, whose contract is that it returns
+  exactly what re-evaluating the arbiter on the bank's full competitor table
+  would (clamped to never decrease).  The default does that re-evaluation;
+  round-robin, the paper's policy, answers in O(1) from the one per-core
+  term the charge changes;
 * :func:`interference_from_overlaps` — one-shot computation from a complete
   set of overlapping tasks, used by the fixed-point baseline and by the
   schedule validator.
@@ -49,22 +55,30 @@ class IbusCallCounter:
 class InterferenceTracker:
     """Incremental per-bank interference state of one destination task.
 
-    The tracker is created when the destination becomes *alive*.  Each time a
-    new task becomes alive on another core, :meth:`add_source` is called; the
-    tracker accumulates the source's demand into the per-core competitor table
-    of every shared bank both tasks access and re-evaluates the arbiter on the
-    complete competitor set (interference may be non-additive, so no shortcut
-    is taken).
+    The tracker is created when the destination becomes *alive*, and builds
+    the destination's shared-bank row once: one
+    ``(bank id, destination accesses, bank, competitor table, charged sources)``
+    record per non-reserved bank the destination accesses.  Each time a new
+    task becomes alive on another core, :meth:`add_source` adds the source's
+    accesses to the per-core competitor table of every row bank the source
+    also touches and asks the arbiter for the bank's new interference through
+    :meth:`BusArbiter.charge <repro.arbiter.BusArbiter.charge>`, whose
+    answer equals re-evaluating :meth:`BusArbiter.interference
+    <repro.arbiter.BusArbiter.interference>` on the complete competitor table
+    (interference may be non-additive), clamped so it never decreases.  Each
+    charge counts as one IBUS call.
+
+    :attr:`shared_demand` is the destination's demand restricted to the row
+    banks; pass it as the ``source_demand`` of other trackers (it is what this
+    task contributes as a source, and a plain dict is the cheapest lookup).
     """
 
     __slots__ = (
         "name",
         "core",
-        "_demand",
-        "_arbiter",
-        "_platform",
-        "_accounted",
-        "_competitors",
+        "shared_demand",
+        "_charge",
+        "_row",
         "_per_bank",
         "_total",
         "_counter",
@@ -81,14 +95,21 @@ class InterferenceTracker:
     ) -> None:
         self.name = name
         self.core = core
-        self._demand = demand
-        self._arbiter = arbiter
-        self._platform = platform
-        #: per bank: set of source task names already charged
-        self._accounted: Dict[int, Set[str]] = {}
-        #: per bank: accumulated competitor demand per core
-        self._competitors: Dict[int, Dict[int, int]] = {}
-        #: per bank: interference in cycles
+        #: ``{bank: accesses}`` over the non-reserved banks the task accesses
+        self.shared_demand: Dict[int, int] = {}
+        row: List[Tuple[int, int, MemoryBank, Dict[int, int], Set[str]]] = []
+        for bank_id, accesses in demand.items():
+            if accesses <= 0:
+                continue
+            bank = platform.bank(bank_id)
+            if bank.reserved_for is not None:
+                # a reserved bank carries traffic from a single core only
+                continue
+            self.shared_demand[bank_id] = accesses
+            row.append((bank_id, accesses, bank, {}, set()))
+        self._row = row
+        self._charge = arbiter.charge
+        #: per bank: interference in cycles (insertion order = first charge)
         self._per_bank: Dict[int, int] = {}
         self._total = 0
         self._counter = counter
@@ -105,43 +126,37 @@ class InterferenceTracker:
         """Copy of the per-bank interference values (non-zero entries only)."""
         return {bank: value for bank, value in self._per_bank.items() if value}
 
-    def add_source(self, source_name: str, source_core: int, source_demand: MemoryDemand) -> int:
+    def add_source(
+        self, source_name: str, source_core: int, source_demand: Mapping[int, int]
+    ) -> int:
         """Account for a newly alive task; returns the interference increase (cycles).
 
-        Sources on the destination's own core are ignored (they never run
-        concurrently with it).  Adding the same source twice for the same bank
-        is a no-op, mirroring the ``interfers_with`` check of Algorithm 1.
+        ``source_demand`` maps banks to the source's access counts (a
+        :class:`~repro.model.MemoryDemand` or another tracker's
+        :attr:`shared_demand`).  Sources on the destination's own core are
+        ignored (they never run concurrently with it).  Adding the same source
+        twice for the same bank is a no-op, mirroring the ``interfers_with``
+        check of Algorithm 1.
         """
         if source_core == self.core:
             return 0
+        charge = self._charge
+        per_bank = self._per_bank
         increase = 0
-        for bank_id, dest_accesses in self._demand.items():
-            if dest_accesses <= 0:
+        calls = 0
+        for bank_id, dest_accesses, bank, competitors, charged in self._row:
+            added = source_demand.get(bank_id)
+            if not added or source_name in charged:
                 continue
-            source_accesses = source_demand[bank_id]
-            if source_accesses <= 0:
-                continue
-            bank = self._platform.bank(bank_id)
-            if bank.reserved_for is not None:
-                # a reserved bank carries traffic from a single core only
-                continue
-            accounted = self._accounted.setdefault(bank_id, set())
-            if source_name in accounted:
-                continue
-            accounted.add(source_name)
-            competitors = self._competitors.setdefault(bank_id, {})
-            competitors[source_core] = competitors.get(source_core, 0) + source_accesses
-            old = self._per_bank.get(bank_id, 0)
-            new = self._arbiter.interference(self.core, dest_accesses, competitors, bank)
-            if self._counter is not None:
-                self._counter.bump()
-            # Monotonicity of the arbiter guarantees new >= old; clamp defensively
-            # so a misbehaving third-party arbiter cannot make finish dates move
-            # backwards and break the incremental algorithm's invariant.
-            if new < old:
-                new = old
-            self._per_bank[bank_id] = new
+            charged.add(source_name)
+            competitors[source_core] = competitors.get(source_core, 0) + added
+            old = per_bank.get(bank_id, 0)
+            new = charge(self.core, dest_accesses, competitors, bank, source_core, added, old)
+            per_bank[bank_id] = new
             increase += new - old
+            calls += 1
+        if calls and self._counter is not None:
+            self._counter.count += calls
         self._total += increase
         return increase
 

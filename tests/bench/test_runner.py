@@ -107,6 +107,22 @@ class TestHeadline:
         assert "NL64" in table
         assert "paper" in table
 
+    def test_vector_baseline_column(self, monkeypatch):
+        """The vector fixed point is reported beside the like-for-like baseline
+        when NumPy imports, and as '-' when it does not; it never feeds the speedup."""
+        from repro.bench import tables
+        from repro.core import numpy_available
+
+        row = run_headline_case("LS64", task_count=64, seed=1)
+        assert (row.vector_seconds is not None) == numpy_available()
+        assert row.speedup == row.old_seconds / row.new_seconds
+        monkeypatch.setattr(tables, "numpy_available", lambda: False)
+        row = run_headline_case("LS64", task_count=64, seed=1)
+        assert row.vector_seconds is None
+        header, _rule, line = format_headline_table([row]).splitlines()[:3]
+        assert "old vector (s)" in header
+        assert line.split()[5] == "-"
+
 
 class TestAblations:
     def test_grouping_ablation_is_never_better_ungrouped(self):

@@ -8,6 +8,7 @@ import pytest
 
 from repro import AnalysisProblem
 from repro.analysis.sensitivity import scale_memory_demand, scale_wcets
+from repro.bench import PerTaskRoundRobinArbiter
 from repro.core import ParamOverlay, analyze_fixedpoint, analyze_incremental, compile_problem
 from repro.engine.jobs import problem_digest, split_problem_digests
 from repro.generators import (
@@ -101,6 +102,29 @@ class TestBitIdenticalToReference:
         # fixed-point trajectory: iteration counts match exactly
         assert new.stats.inner_iterations == ref.stats.inner_iterations
         assert new.stats.outer_iterations == ref.stats.outer_iterations
+
+
+@pytest.mark.parametrize("case", range(len(_workloads())))
+def test_plugin_arbiter_incremental_matches_reference(case):
+    """A plug-in without a ``charge`` override runs the default path, which is
+    bit-identical to re-evaluating the arbiter on every IBUS call, as the
+    frozen reference does."""
+    base = _workloads()[case]
+    problem = AnalysisProblem(
+        graph=base.graph,
+        mapping=base.mapping,
+        platform=base.platform,
+        arbiter=PerTaskRoundRobinArbiter(),
+        horizon=base.horizon,
+        name=base.name,
+        validate=False,
+    )
+    new = analyze_incremental(problem)
+    ref = reference_incremental(problem)
+    _schedules_identical(new, ref)
+    assert new.stats.ibus_calls > 0
+    min_release = min(task.min_release for task in problem.graph)
+    assert ref.stats.cursor_steps - new.stats.cursor_steps == (1 if min_release > 0 else 0)
 
 
 @pytest.mark.parametrize("case", range(len(_workloads())))

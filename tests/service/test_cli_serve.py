@@ -7,6 +7,7 @@ over real HTTP by the :class:`ServiceClient` — runs through
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -160,3 +161,19 @@ class TestSmoke:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "SMOKE PASSED" in result.stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+class TestSigterm:
+    def test_sigterm_stops_the_pool_workers_and_exits_zero(self):
+        """``serve --backend process`` stopped with SIGTERM exits 0 and orphans no worker."""
+        result = subprocess.run(
+            [sys.executable, str(SMOKE), "--backend", "process", "--workers", "2"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=str(REPO_ROOT),
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        match = re.search(r"sigterm ok \(exit 0, (\d+) child", result.stdout)
+        assert match and int(match.group(1)) >= 1, result.stdout
