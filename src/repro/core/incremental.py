@@ -55,9 +55,12 @@ _WARM_REUSE = object()
 
 
 class _AliveTask:
-    """Mutable record of a task currently in the Alive set."""
+    """Mutable record of a task currently in the Alive set.
 
-    __slots__ = ("index", "name", "core", "release", "wcet", "tracker")
+    ``finish`` grows monotonically while alive: every charge adds its increase.
+    """
+
+    __slots__ = ("index", "name", "core", "release", "wcet", "tracker", "finish")
 
     def __init__(
         self,
@@ -74,11 +77,7 @@ class _AliveTask:
         self.release = release
         self.wcet = wcet
         self.tracker = tracker
-
-    @property
-    def finish(self) -> int:
-        """Current worst-case finish date (grows monotonically while alive)."""
-        return self.release + self.wcet + self.tracker.interference
+        self.finish = release + wcet + tracker.interference
 
     def to_entry(self) -> ScheduledTask:
         return ScheduledTask(
@@ -327,8 +326,10 @@ class IncrementalAnalyzer:
                     if other.core == item.core:
                         continue
                     other_tracker = other.tracker
-                    other_tracker.add_source(item.name, item.core, item_demand)
-                    item_tracker.add_source(other.name, other.core, other_tracker.shared_demand)
+                    other.finish += other_tracker.add_source(item.name, item.core, item_demand)
+                    item.finish += item_tracker.add_source(
+                        other.name, other.core, other_tracker.shared_demand
+                    )
                 alive[item.index] = item
 
             if self.trace is not None:
@@ -549,7 +550,9 @@ class IncrementalAnalyzer:
                 if src.name == entry.name or src.core == entry.core:
                     continue
                 if entry.overlaps(src):
-                    item.tracker.add_source(src.name, src.core, demand[index_of[src.name]])
+                    item.finish += item.tracker.add_source(
+                        src.name, src.core, demand[index_of[src.name]]
+                    )
             alive[idx] = item
 
         # --- arbiter calls charged to already-closed destinations -----------

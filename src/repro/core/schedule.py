@@ -4,7 +4,7 @@ A :class:`Schedule` maps every task to a :class:`ScheduledTask` holding its
 final release date, its per-bank interference and hence its worst-case
 response time ``R = WCET + interference``.  The *makespan* (global WCRT of the
 graph, the ``t = 7`` of Figure 1 in the paper) is the maximum finish time over
-all tasks.
+all tasks.  All three are immutable values.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class ScheduledTask:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScheduledTask":
-        # hot path: every cache disk hit and every batch-sweep clone decodes
-        # one of these per task.  Bypassing the frozen-dataclass __init__
-        # (object.__setattr__ per field) roughly halves the cost; the
+        # hot path: every cache disk hit and every schedule a worker process
+        # returns decodes one of these per task.  Bypassing the frozen-dataclass
+        # __init__ (object.__setattr__ per field) roughly halves the cost; the
         # __post_init__ invariants are re-checked explicitly below.
         name = str(data["name"])
         release = int(data["release"])
@@ -105,7 +105,7 @@ class ScheduledTask:
         return task
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleStats:
     """Bookkeeping about how the analysis ran (useful for benchmarks and reports)."""
 
@@ -140,7 +140,13 @@ class Schedule:
     its horizon (or deadlocked); in that case ``unscheduled`` lists the tasks
     that never received a release date and the scheduled entries cover only a
     prefix of the graph.
+
+    A schedule is an immutable value (assigning an attribute raises
+    :class:`AttributeError`), so one object can serve every cache hit,
+    duplicate and coalesced caller; :meth:`relabeled` gives each its name.
     """
+
+    __slots__ = ("_entries", "algorithm", "schedulable", "unscheduled", "stats", "problem_name")
 
     def __init__(
         self,
@@ -152,16 +158,37 @@ class Schedule:
         stats: Optional[ScheduleStats] = None,
         problem_name: str = "",
     ) -> None:
-        self._entries: Dict[str, ScheduledTask] = {}
+        by_name: Dict[str, ScheduledTask] = {}
         for entry in entries:
-            if entry.name in self._entries:
+            if entry.name in by_name:
                 raise ValidationError(f"duplicate schedule entry for task {entry.name!r}")
-            self._entries[entry.name] = entry
-        self.algorithm = algorithm
-        self.schedulable = bool(schedulable)
-        self.unscheduled: List[str] = sorted(unscheduled or [])
-        self.stats = stats or ScheduleStats(algorithm=algorithm)
-        self.problem_name = problem_name
+            by_name[entry.name] = entry
+        set_field = object.__setattr__
+        set_field(self, "_entries", by_name)
+        set_field(self, "algorithm", algorithm)
+        set_field(self, "schedulable", bool(schedulable))
+        set_field(self, "unscheduled", sorted(unscheduled or []))
+        set_field(self, "stats", stats or ScheduleStats(algorithm=algorithm))
+        set_field(self, "problem_name", problem_name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"Schedule is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Schedule is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state: Any) -> None:
+        # pickle and copy restore slots through setattr, which is refused
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def relabeled(self, problem_name: str) -> "Schedule":
+        """A new schedule under ``problem_name`` sharing this one's entries."""
+        clone = object.__new__(Schedule)
+        for slot in Schedule.__slots__:
+            object.__setattr__(clone, slot, getattr(self, slot))
+        object.__setattr__(clone, "problem_name", problem_name)
+        return clone
 
     # ------------------------------------------------------------------
     # access

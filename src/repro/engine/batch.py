@@ -19,7 +19,7 @@ counters in :attr:`BatchAnalyzer.cache`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import warnings
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -122,7 +122,7 @@ class BatchAnalyzer:
 
     def run(
         self,
-        problems: Iterable[Union[AnalysisProblem, OverlayProblem]],
+        problems: Iterable[Union[AnalysisProblem, OverlayProblem, AnalysisJob]],
         *,
         progress: Optional[ProgressCallback] = None,
     ) -> BatchReport:
@@ -131,7 +131,9 @@ class BatchAnalyzer:
         ``problems`` may mix plain problems and
         :class:`~repro.core.OverlayProblem` probes (compiled kernel +
         parameter delta); both digest identically for identical content, so
-        the cache and the intra-batch dedup treat them interchangeably.
+        the cache and the intra-batch dedup treat them interchangeably.  An
+        :class:`~repro.engine.AnalysisJob` item is taken with the digests it
+        already memoized, under this analyzer's algorithm.
         """
         if not obs.tracing_enabled():
             return self._run(problems, progress=progress)
@@ -146,13 +148,15 @@ class BatchAnalyzer:
 
     def _run(
         self,
-        problems: Iterable[Union[AnalysisProblem, OverlayProblem]],
+        problems: Iterable[Union[AnalysisProblem, OverlayProblem, AnalysisJob]],
         *,
         progress: Optional[ProgressCallback] = None,
     ) -> BatchReport:
         jobs = [
-            AnalysisJob(problem=problem, algorithm=self.algorithm, index=index)
-            for index, problem in enumerate(problems)
+            replace(item, algorithm=self.algorithm, index=index)
+            if isinstance(item, AnalysisJob)
+            else AnalysisJob(problem=item, algorithm=self.algorithm, index=index)
+            for index, item in enumerate(problems)
         ]
         total = len(jobs)
         schedules: List[Optional[Schedule]] = [None] * total
@@ -169,11 +173,8 @@ class BatchAnalyzer:
             hit = cached.get(key)
             if hit is not None:
                 # the digest is content-based: a hit may have been produced
-                # under another problem name, so relabel for this caller —
-                # every position gets its own copy (schedules are mutable)
-                clone = Schedule.from_dict(hit.to_dict())
-                clone.problem_name = job.name
-                schedules[job.index] = clone
+                # under another problem name, so relabel for this caller
+                schedules[job.index] = hit.relabeled(job.name)
                 hits += 1
             elif key in pending:
                 # identical problem already queued in this batch: analyse it once
@@ -247,9 +248,7 @@ class BatchAnalyzer:
                 # the job computing this duplicate's content failed; mark the
                 # duplicate as failed too (below) rather than silently None
                 continue
-            clone = Schedule.from_dict(source.to_dict())
-            clone.problem_name = jobs[index].name
-            schedules[index] = clone
+            schedules[index] = source.relabeled(jobs[index].name)
         if progress is not None and duplicates:
             progress(ProgressEvent(done=total, total=total, job_name="(deduplicated)"))
 

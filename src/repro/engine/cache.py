@@ -15,7 +15,8 @@ round trips instead of O(K).
 
 The cache counts hits and misses (:class:`CacheStats`), which is how the test
 suite proves that a warm re-run of a sweep performs *zero* analyzer
-invocations.
+invocations.  The memory tier holds the (immutable) schedules themselves;
+records are built only for writes to the persistent store.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class ResultCache:
             raise CacheError(f"memory_limit must be >= 0, got {memory_limit}")
         self.memory_limit = int(memory_limit)
         self.stats = CacheStats()
-        self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        self._memory: "OrderedDict[str, Schedule]" = OrderedDict()
         self._lock = threading.Lock()
         self.store: Optional[SqliteStore] = (
             None
@@ -134,19 +135,19 @@ class ResultCache:
         """Cached schedule for ``key``, or ``None`` (counted as hit or miss)."""
         with obs.span("cache.lookup") as lookup:
             with self._lock:
-                record = self._memory.get(key)
-                if record is not None:
+                schedule = self._memory.get(key)
+                if schedule is not None:
                     self._memory.move_to_end(key)
                     self.stats.memory_hits += 1
                     lookup.set(outcome="memory_hit")
-                    return Schedule.from_dict(record)
+                    return schedule
             if self.store is not None:
                 loaded = self.store.get_many([key]).get(key)
                 if loaded is not None:
-                    record, schedule = loaded
+                    _record, schedule = loaded
                     with self._lock:
                         self.stats.disk_hits += 1
-                        self._remember(key, record)
+                        self._remember(key, schedule)
                     lookup.set(outcome="disk_hit")
                     return schedule
             with self._lock:
@@ -167,20 +168,20 @@ class ResultCache:
             residue: List[str] = []
             with self._lock:
                 for key in keys:
-                    record = self._memory.get(key)
-                    if record is not None:
+                    schedule = self._memory.get(key)
+                    if schedule is not None:
                         self._memory.move_to_end(key)
                         self.stats.memory_hits += 1
-                        results[key] = Schedule.from_dict(record)
+                        results[key] = schedule
                     else:
                         residue.append(key)
             disk_hits = 0
             if residue and self.store is not None:
                 loaded = self.store.get_many(residue)
                 with self._lock:
-                    for key, (record, schedule) in loaded.items():
+                    for key, (_record, schedule) in loaded.items():
                         self.stats.disk_hits += 1
-                        self._remember(key, record)
+                        self._remember(key, schedule)
                         results[key] = schedule
                 disk_hits = len(loaded)
             misses = len(keys) - len(results)
@@ -210,13 +211,14 @@ class ResultCache:
         """Store a batch of ``(key, schedule, split)`` entries (one transaction)."""
         if not items:
             return
-        encoded = [(key, schedule.to_dict(), split) for key, schedule, split in items]
         with self._lock:
-            for key, record, _split in encoded:
-                self._remember(key, record)
-            self.stats.stores += len(encoded)
+            for key, schedule, _split in items:
+                self._remember(key, schedule)
+            self.stats.stores += len(items)
         if self.store is not None:
-            self.store.put_many(encoded)
+            self.store.put_many(
+                [(key, schedule.to_dict(), split) for key, schedule, split in items]
+            )
 
     def contains(self, key: str) -> bool:
         """True when ``key`` is cached (does not touch the hit/miss counters)."""
@@ -283,10 +285,10 @@ class ResultCache:
     # internals
     # ------------------------------------------------------------------
 
-    def _remember(self, key: str, record: Dict[str, object]) -> None:
+    def _remember(self, key: str, schedule: Schedule) -> None:
         if self.memory_limit == 0:
             return
-        self._memory[key] = record
+        self._memory[key] = schedule
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_limit:
             self._memory.popitem(last=False)

@@ -1,4 +1,4 @@
-"""Process-pool fan-out for analysis jobs.
+"""Pool fan-out for analysis jobs.
 
 :func:`run_jobs` executes a list of :class:`~repro.engine.jobs.AnalysisJob`
 across a :class:`concurrent.futures.ProcessPoolExecutor`:
@@ -13,13 +13,16 @@ across a :class:`concurrent.futures.ProcessPoolExecutor`:
   serialization, same results — which is also the safe mode on platforms
   where forking is undesirable.
 
-Workers rebuild each problem from its JSON payload (see
-:meth:`AnalysisJob.from_payload`) and resolve the algorithm through the
-registry of :mod:`repro.core.analyzer`.  Runtime-registered algorithms travel
-*inside the payload* (re-registered by the worker before the job runs), so
-plug-ins work under every multiprocessing start method — ``fork`` and
-``spawn`` alike.  Set the ``REPRO_MP_START_METHOD`` environment variable to
-pin the pool's start method (e.g. ``spawn`` to reproduce the
+Every pool runs the chunk runner :func:`run_jobs_serial` uses, over
+:class:`AnalysisJob` objects; a thread pool hands back
+:class:`~repro.core.Schedule` objects, so no codec runs in one address space.
+A process pool gets the codec as an adapter at its edge
+(:func:`_run_payload_chunk`): jobs cross as :meth:`AnalysisJob.to_payload`
+documents, schedules as :meth:`Schedule.to_dict` records.  Runtime-registered
+algorithms travel *inside the payload* (re-registered by the worker before
+the job runs), so plug-ins work under every multiprocessing start method —
+``fork`` and ``spawn`` alike.  Set the ``REPRO_MP_START_METHOD`` environment
+variable to pin the pool's start method (e.g. ``spawn`` to reproduce the
 macOS/Windows default on Linux, which is also what CI does to guard the
 payload-registration path).
 """
@@ -31,7 +34,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from time import perf_counter as _perf_counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..core import Schedule
@@ -86,51 +89,97 @@ def default_worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _run_chunk(
-    payloads: Sequence[Dict[str, Any]],
-    structures: Optional[Dict[str, Any]] = None,
-    traceparent: Optional[str] = None,
-) -> List[Tuple[int, Dict[str, Any]]]:
-    """Worker entry point: run every job of one chunk, return indexed outcomes.
+#: one job's outcome in a chunk: its batch position and its schedule, or the
+#: ``"<type>: <message>"`` of the exception it raised
+Outcome = Tuple[int, Union[Schedule, str]]
 
-    Each outcome is ``{"schedule": ...}`` or ``{"error": ...}`` — one failing
-    job must not poison the other jobs of its chunk (or of the batch).
-    ``structures`` is the chunk's shared base-problem table for delta jobs
-    (one entry per distinct parent structure digest, factored out of the
-    payloads by :func:`run_jobs_on` so a chunk of N probes over one parent
-    ships — and compiles — its base problem once).
+
+def _run_each(jobs: Iterable[Tuple[int, AnalysisJob]]) -> Iterator[Outcome]:
+    """Run ``(position, job)`` pairs in order, yielding each outcome as it ends.
+
+    One failing job must not poison the others of its chunk (or batch).
+    """
+    for position, job in jobs:
+        outcome: Union[Schedule, str]
+        try:
+            with obs.span("job.run", job=job.name, algorithm=job.algorithm):
+                outcome = job.run()
+        except Exception as exc:  # noqa: BLE001 - reported per job, batch continues
+            outcome = f"{type(exc).__name__}: {exc}"
+        yield position, outcome
+
+
+def _run_chunk(
+    jobs: Sequence[Tuple[int, AnalysisJob]], traceparent: Optional[str] = None
+) -> Tuple[List[Outcome], List[obs.Span]]:
+    """Pool entry point: run one chunk of jobs, return outcomes and spans.
 
     When the submitting side was tracing, ``traceparent`` carries its trace
-    position into the worker: the chunk runs under a local tracer continuing
-    that trace, and the worker-side spans ride back serialized on the first
-    outcome (``"spans"`` key) to be stitched into the parent's trace.
+    position to the worker: the chunk runs under a local tracer continuing
+    that trace, and its spans come back to be stitched into the caller's.
     """
     if traceparent is None:
-        return _run_chunk_inner(payloads, structures)
+        return list(_run_each(jobs)), []
     tracer = obs.Tracer.from_traceparent(
         traceparent, service=f"engine-worker:{os.getpid()}"
     )
     with tracer.activate():
-        with obs.span("engine.chunk", jobs=len(payloads)):
-            results = _run_chunk_inner(payloads, structures)
-    if results:
-        results[0][1]["spans"] = tracer.span_dicts()
-    return results
+        with obs.span("engine.chunk", jobs=len(jobs)):
+            outcomes = list(_run_each(jobs))
+    return outcomes, tracer.spans
 
 
-def _run_chunk_inner(
+def _run_payload_chunk(
     payloads: Sequence[Dict[str, Any]],
     structures: Optional[Dict[str, Any]],
-) -> List[Tuple[int, Dict[str, Any]]]:
-    results: List[Tuple[int, Dict[str, Any]]] = []
-    for payload in payloads:
-        job = AnalysisJob.from_payload(payload, structures=structures)
-        try:
-            with obs.span("job.run", job=job.name, algorithm=job.algorithm):
-                results.append((job.index, {"schedule": job.run().to_dict()}))
-        except Exception as exc:  # noqa: BLE001 - reported per job, batch continues
-            results.append((job.index, {"error": f"{type(exc).__name__}: {exc}"}))
-    return results
+    traceparent: Optional[str],
+) -> Tuple[List[Tuple[int, Union[Dict[str, Any], str]]], List[obs.Span]]:
+    """:func:`_run_chunk` behind the codec a worker process needs.
+
+    Jobs arrive as :meth:`AnalysisJob.to_payload` documents (``structures``
+    is the chunk's shared base-problem table, see :func:`_encode_chunk`);
+    schedules leave as :meth:`Schedule.to_dict` records.
+    """
+    jobs = [
+        (int(payload["index"]), AnalysisJob.from_payload(payload, structures=structures))
+        for payload in payloads
+    ]
+    outcomes, spans = _run_chunk(jobs, traceparent)
+    return [
+        (position, value if isinstance(value, str) else value.to_dict())
+        for position, value in outcomes
+    ], spans
+
+
+def _encode_chunk(
+    chunk: Sequence[Tuple[int, AnalysisJob]]
+) -> Tuple[List[Dict[str, Any]], Optional[Dict[str, Any]]]:
+    """Payloads for one chunk bound for a worker process, plus its structure table.
+
+    The base problems of delta jobs are factored into one table per chunk,
+    keyed by the parent's structure digest: N probes over one parent ship
+    one base document, and the worker's kernel memo compiles it once.
+    """
+    structures: Dict[str, Any] = {}
+    payloads: List[Dict[str, Any]] = []
+    for position, job in chunk:
+        payload = job.to_payload()
+        # result ordering is defined by submission position; the caller's
+        # own job.index is left untouched (it may carry outer-batch semantics)
+        payload["index"] = position
+        base_digest = payload.get("base_structure_digest")
+        if base_digest is not None:
+            structures.setdefault(str(base_digest), payload.pop("base_problem"))
+            warm = payload.get("warm_start")
+            if warm is not None:
+                # every probe of a structural generation carries the same
+                # parent schedule: ship it once per chunk, referenced by key
+                schedule = warm["schedule"]
+                key = f"warm:{base_digest}:{schedule.get('algorithm', '')}"
+                structures.setdefault(key, schedule)
+                warm["schedule"] = key
+        payloads.append(payload)
+    return payloads, structures or None
 
 
 def _chunk(items: Sequence[Any], size: int) -> List[Sequence[Any]]:
@@ -185,25 +234,12 @@ def run_jobs_serial(
     :class:`~repro.errors.BatchExecutionError` is raised at the end.
     """
     jobs = list(jobs)
-    total = len(jobs)
-    results: List[Optional[Schedule]] = []
-    failures: Dict[int, str] = {}
-    for done, job in enumerate(jobs, start=1):
-        try:
-            with obs.span("job.run", job=job.name, algorithm=job.algorithm):
-                results.append(job.run())
-        except Exception as exc:  # noqa: BLE001 - collected, raised at the end
-            results.append(None)
-            failures[done - 1] = f"{job.name}: {type(exc).__name__}: {exc}"
+    outcomes: Dict[int, Union[Schedule, str]] = {}
+    for done, (position, outcome) in enumerate(_run_each(enumerate(jobs)), start=1):
+        outcomes[position] = outcome
         if progress is not None:
-            progress(ProgressEvent(done=done, total=total, job_name=job.name))
-    if failures:
-        raise BatchExecutionError(
-            f"{len(failures)} of {total} job(s) failed: {_summarize(failures)}",
-            failures=failures,
-            results=results,
-        )
-    return results  # type: ignore[return-value]
+            progress(ProgressEvent(done=done, total=len(jobs), job_name=jobs[position].name))
+    return _collect(jobs, outcomes)
 
 
 def run_jobs_on(
@@ -219,10 +255,12 @@ def run_jobs_on(
     ``pool`` is anything with the :class:`concurrent.futures.Executor`
     ``submit`` interface — the transient :class:`ProcessPoolExecutor` of
     :func:`run_jobs`, or the persistent process/thread pool owned by a
-    :class:`repro.service.EngineRuntime`.  The pool is *not* shut down here;
-    its lifetime belongs to the caller (which is exactly what makes warm
-    reuse across batches possible).  ``workers`` sizes the default chunking
-    so each worker gets a few chunks.
+    :class:`repro.service.EngineRuntime`.  A :class:`ProcessPoolExecutor`
+    gets job payloads and returns schedule records; any other executor is
+    taken to share this address space and passes the objects themselves.
+    The pool is *not* shut down here; its lifetime belongs to the caller
+    (which is exactly what makes warm reuse across batches possible).
+    ``workers`` sizes the default chunking so each worker gets a few chunks.
     """
     if chunksize is not None and chunksize < 1:
         raise EngineError(f"chunksize must be >= 1, got {chunksize}")
@@ -237,64 +275,38 @@ def run_jobs_on(
     traceparent = obs.current_traceparent()
     tracer = obs.current_tracer()
     dispatch_started = _perf_counter()
-    # result ordering is defined by submission position; the caller's own
-    # job.index is left untouched (it may carry outer-batch semantics)
-    payloads = []
-    for position, job in enumerate(jobs):
-        payload = job.to_payload()
-        payload["index"] = position
-        payloads.append(payload)
-    chunks = _chunk(payloads, chunksize)
-    outcomes: Dict[int, Dict[str, Any]] = {}
+    chunks = _chunk(list(enumerate(jobs)), chunksize)
+    # only a process pool needs the payload codec at its edge; a thread pool
+    # shares this address space, runs the job objects and hands back
+    # schedules.  Every chunk is encoded before the first submit forks the
+    # workers, so they inherit every kernel the encoding memoized.
+    if isinstance(pool, ProcessPoolExecutor):
+        calls = [(_run_payload_chunk, *_encode_chunk(chunk)) for chunk in chunks]
+    else:
+        calls = [(_run_chunk, chunk) for chunk in chunks]
+    outcomes: Dict[int, Union[Schedule, str]] = {}
     done = 0
     pending = {}
-    for chunk in chunks:
-        # factor the base problems of delta jobs into one structure table
-        # per chunk, keyed by the parent's structure digest: N probes over one
-        # parent ship one base document, and the worker's kernel memo
-        # compiles it once for the whole chunk
-        structures: Dict[str, Any] = {}
-        stripped: List[Dict[str, Any]] = []
-        for payload in chunk:
-            base_digest = payload.get("base_structure_digest")
-            if base_digest is not None and "base_problem" in payload:
-                structures.setdefault(str(base_digest), payload["base_problem"])
-                payload = {
-                    key: value for key, value in payload.items() if key != "base_problem"
-                }
-            warm = payload.get("warm_start")
-            if (
-                isinstance(warm, dict)
-                and isinstance(warm.get("schedule"), dict)
-                and base_digest
-            ):
-                # every probe of a structural generation carries the same
-                # parent schedule: ship it once per chunk, referenced by key
-                schedule = warm["schedule"]
-                key = f"warm:{base_digest}:{schedule.get('algorithm', '')}"
-                structures.setdefault(key, schedule)
-                payload = {**payload, "warm_start": {**warm, "schedule": key}}
-            stripped.append(payload)
-        future = pool.submit(_run_chunk, stripped, structures or None, traceparent)
-        pending[future] = [payload["index"] for payload in stripped]
+    for chunk, call in zip(chunks, calls):
+        future = pool.submit(*call, traceparent)
+        pending[future] = [position for position, _job in chunk]
     while pending:
         finished, _ = wait(pending, return_when=FIRST_COMPLETED)
         for future in finished:
             positions = pending.pop(future)
             last_name = ""
             try:
-                chunk_outcomes = future.result()
+                chunk_outcomes, spans = future.result()
             except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable payload
                 # the whole chunk is lost, but the batch must carry on
-                chunk_outcomes = [
-                    (position, {"error": f"{type(exc).__name__}: {exc}"})
-                    for position in positions
-                ]
-            for position, outcome in chunk_outcomes:
-                spans = outcome.pop("spans", None)
-                if spans and tracer is not None:
-                    tracer.record_foreign(spans)
-                outcomes[position] = outcome
+                message = f"{type(exc).__name__}: {exc}"
+                chunk_outcomes, spans = [(position, message) for position in positions], []
+            if spans and tracer is not None:
+                tracer.record_foreign(spans)
+            for position, value in chunk_outcomes:
+                if isinstance(value, dict):  # a schedule record from a worker process
+                    value = Schedule.from_dict(value)
+                outcomes[position] = value
                 done += 1
                 last_name = jobs[position].name
             if progress is not None:
@@ -306,6 +318,14 @@ def run_jobs_on(
         chunks=len(chunks),
         chunksize=chunksize,
     )
+    return _collect(jobs, outcomes)
+
+
+def _collect(
+    jobs: Sequence[AnalysisJob], outcomes: Dict[int, Union[Schedule, str]]
+) -> List[Schedule]:
+    """Schedules in submission order, or the batch's partial-failure error."""
+    total = len(jobs)
     missing = [jobs[position].name for position in range(total) if position not in outcomes]
     if missing:
         raise EngineError(f"batch lost results for {len(missing)} job(s): {missing[:5]}")
@@ -313,11 +333,11 @@ def run_jobs_on(
     failures: Dict[int, str] = {}
     for position in range(total):
         outcome = outcomes[position]
-        if "error" in outcome:
+        if isinstance(outcome, str):
             results.append(None)
-            failures[position] = f"{jobs[position].name}: {outcome['error']}"
+            failures[position] = f"{jobs[position].name}: {outcome}"
         else:
-            results.append(Schedule.from_dict(outcome["schedule"]))
+            results.append(outcome)
     if failures:
         raise BatchExecutionError(
             f"{len(failures)} of {total} job(s) failed: {_summarize(failures)}",

@@ -27,8 +27,10 @@ on-disk cache entries reusable across runs and machines, *and* lets the cache,
 the intra-batch dedup and the cluster dispatcher stratify hundreds of probe
 variants of one problem by their shared structure half.
 
-Jobs travel to worker processes as payloads that are JSON-compatible except
-for the arbiter, which rides along as the live object so parameterized
+In-process pools (the ``thread`` and ``inline`` runtimes, the serial path)
+run :class:`AnalysisJob` objects as they are; a job becomes a payload only to
+cross into a worker process.  Payloads are JSON-compatible except for the
+arbiter, which rides along as the live object so parameterized
 policies survive the process boundary intact (the JSON problem format only
 records the arbiter's registry name), and the algorithm registration, which
 rides along as the registered function whenever it is picklable.  Re-registering
@@ -279,10 +281,9 @@ def _kernel_memo_get(structure_digest: Optional[str]) -> Optional[CompiledProble
 def _kernel_memo_put(structure_digest: str, kernel: CompiledProblem) -> None:
     """Seed the kernel memo (bounded LRU) with an already-compiled kernel.
 
-    Called parent-side when an overlay payload is built: thread-pool workers
-    share this process and hit the memo directly, and ``fork`` workers
-    inherit it — in both cases the base problem is never compiled (or even
-    re-parsed) a second time.  Only ``spawn`` workers, which share nothing,
+    Called parent-side when an overlay payload is built: ``fork`` workers
+    started afterwards inherit it and never compile (or even re-parse) the
+    base problem a second time.  ``spawn`` workers, which share nothing,
     compile their own copy once per structure.
     """
     with _KERNEL_MEMO_LOCK:
@@ -294,9 +295,9 @@ def _kernel_for_structure(
 ) -> CompiledProblem:
     """Compiled kernel for ``base_problem``, memoized per structure digest.
 
-    Shared by every thread of a thread-backend runtime and by every job of a
-    process worker's lifetime; bounded so a long-lived worker crunching many
-    distinct structures cannot grow without limit.
+    Shared by every job of a process worker's lifetime; bounded so a
+    long-lived worker crunching many distinct structures cannot grow without
+    limit.
     """
     kernel = _kernel_memo_get(structure_digest)
     if kernel is not None:
@@ -518,9 +519,9 @@ class AnalysisJob:
                     "dirty": sorted(warm.dirty),
                     "first_affected_time": warm.first_affected_time,
                 }
-            # same-process workers (thread pools, fork children) reuse the
-            # live kernels instead of re-parsing, recompiling or re-patching:
-            # the parent for sibling probes, the probe's own kernel for this job
+            # fork children reuse the live kernels instead of re-parsing,
+            # recompiling or re-patching: the parent for sibling probes, the
+            # probe's own kernel for this job
             _kernel_memo_put(base_digest, parent)
             _kernel_memo_put(self.structure_digest, self.problem.kernel)
         else:

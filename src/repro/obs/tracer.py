@@ -31,7 +31,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
@@ -271,8 +271,8 @@ class Tracer:
         self._record(record)
         return record
 
-    def record_foreign(self, records: Iterable[Dict[str, Any]]) -> int:
-        """Merge serialized spans from another process/thread into this trace.
+    def record_foreign(self, records: Iterable[Union[Span, Dict[str, Any]]]) -> int:
+        """Merge spans recorded by another tracer (or their dicts) into this trace.
 
         Records are taken as-is (they already carry their own trace/parent
         ids); malformed ones are skipped.  Returns the number merged.
@@ -280,7 +280,7 @@ class Tracer:
         merged = 0
         for record in records or ():
             try:
-                parsed = Span.from_dict(record)
+                parsed = record if isinstance(record, Span) else Span.from_dict(record)
             except (KeyError, TypeError, ValueError):
                 continue
             self._record(parsed)

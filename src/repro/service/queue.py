@@ -15,7 +15,8 @@ requests.  The :class:`JobQueue` bridges the two:
 * **coalescing**: a submission whose problem content digest (cache key:
   digest + algorithm + schema version) matches a queued *or in-flight* job
   does not enqueue new work — its future attaches to the existing job and
-  receives a copy of the same schedule, relabeled with its own problem name;
+  receives the same schedule relabeled with its own problem name
+  (:meth:`~repro.core.Schedule.relabeled`: a new value sharing the entries);
 * **bounded backpressure**: at most ``max_pending`` jobs may be queued;
   further submissions block until space frees up (or raise
   :class:`~repro.errors.QueueFullError` after ``timeout``), so a burst of
@@ -88,8 +89,7 @@ class _Entry:
 
     __slots__ = (
         "key",
-        "problem",
-        "algorithm",
+        "job",
         "priority",
         "seq",
         "waiters",
@@ -98,17 +98,11 @@ class _Entry:
         "parent_span_id",
     )
 
-    def __init__(
-        self,
-        key: str,
-        problem: Union[AnalysisProblem, OverlayProblem],
-        algorithm: str,
-        priority: int,
-        seq: int,
-    ) -> None:
+    def __init__(self, key: str, job: AnalysisJob, priority: int, seq: int) -> None:
         self.key = key
-        self.problem = problem
-        self.algorithm = algorithm
+        #: the digested job, handed to the batch analyzer as is: its memoized
+        #: digests spare the batch a second digest of the same problem
+        self.job = job
         self.priority = priority
         self.seq = seq
         #: (future, problem name) pairs; the first is the originating submission
@@ -196,49 +190,7 @@ class JobQueue:
         Coalesced submissions (identical content digest + algorithm already
         queued or running) never block — they add no work.
         """
-        algorithm = algorithm if algorithm is not None else self.algorithm
-        key = AnalysisJob(problem=problem, algorithm=algorithm).cache_key
-        future: "Future[Schedule]" = Future()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            if self._closed:
-                raise ServiceError("job queue is closed")
-            if self.coalesce:
-                existing = self._queued.get(key) or self._running.get(key)
-                if existing is not None:
-                    existing.waiters.append((future, problem.name))
-                    self._submitted += 1
-                    self._coalesced += 1
-                    return future
-            while len(self._heap) >= self.max_pending and not self._closed:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise QueueFullError(
-                        f"job queue is full ({self.max_pending} pending) and the "
-                        f"submission timed out after {timeout}s"
-                    )
-                self._cond.wait(remaining)
-            if self._closed:
-                raise ServiceError("job queue is closed")
-            if self.coalesce:
-                # re-check after the backpressure wait: another submitter of
-                # the same content may have enqueued it while we blocked
-                existing = self._queued.get(key) or self._running.get(key)
-                if existing is not None:
-                    existing.waiters.append((future, problem.name))
-                    self._submitted += 1
-                    self._coalesced += 1
-                    return future
-            entry = _Entry(key, problem, algorithm, int(priority), next(self._seq))
-            entry.waiters.append((future, problem.name))
-            heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
-            if self.coalesce:
-                # the key->entry maps exist only for coalescing lookups; with
-                # coalescing off duplicate keys may coexist in the heap
-                self._queued[key] = entry
-            self._submitted += 1
-            self._cond.notify_all()
-        return future
+        return self.map([problem], algorithm=algorithm, priority=priority, timeout=timeout)[0]
 
     def map(
         self,
@@ -262,26 +214,37 @@ class JobQueue:
         algorithm = algorithm if algorithm is not None else self.algorithm
         # content digests are computed outside the lock: hashing K problems
         # must not stall the dispatcher or concurrent submitters
-        keys = [
-            AnalysisJob(problem=problem, algorithm=algorithm).cache_key
-            for problem in problems
-        ]
+        jobs = [AnalysisJob(problem=problem, algorithm=algorithm) for problem in problems]
+        keys = [job.cache_key for job in jobs]
         futures: List["Future[Schedule]"] = []
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            for problem, key in zip(problems, keys):
-                if self._closed:
-                    raise ServiceError("job queue is closed")
+            for job, key in zip(jobs, keys):
                 future: "Future[Schedule]" = Future()
-                if self.coalesce:
-                    existing = self._queued.get(key) or self._running.get(key)
+                while True:
+                    if self._closed:
+                        raise ServiceError("job queue is closed")
+                    # checked again after every backpressure wait: another
+                    # submitter of the same content may have enqueued it
+                    existing = (
+                        self._queued.get(key) or self._running.get(key)
+                        if self.coalesce
+                        else None
+                    )
                     if existing is not None:
-                        existing.waiters.append((future, problem.name))
-                        self._submitted += 1
+                        existing.waiters.append((future, job.name))
                         self._coalesced += 1
-                        futures.append(future)
-                        continue
-                while len(self._heap) >= self.max_pending and not self._closed:
+                        break
+                    if len(self._heap) < self.max_pending:
+                        entry = _Entry(key, job, int(priority), next(self._seq))
+                        entry.waiters.append((future, job.name))
+                        heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
+                        if self.coalesce:
+                            # the key->entry maps exist only for coalescing
+                            # lookups; with coalescing off duplicate keys may
+                            # coexist in the heap
+                            self._queued[key] = entry
+                        break
                     # wake the dispatcher first: the entries enqueued so far
                     # in this burst have not been announced yet, and draining
                     # them is the only way space can free up
@@ -293,22 +256,6 @@ class JobQueue:
                             f"submission timed out after {timeout}s"
                         )
                     self._cond.wait(remaining)
-                if self._closed:
-                    raise ServiceError("job queue is closed")
-                if self.coalesce:
-                    # re-check after a backpressure wait (same rule as submit)
-                    existing = self._queued.get(key) or self._running.get(key)
-                    if existing is not None:
-                        existing.waiters.append((future, problem.name))
-                        self._submitted += 1
-                        self._coalesced += 1
-                        futures.append(future)
-                        continue
-                entry = _Entry(key, problem, algorithm, int(priority), next(self._seq))
-                entry.waiters.append((future, problem.name))
-                heapq.heappush(self._heap, (-entry.priority, entry.seq, entry))
-                if self.coalesce:
-                    self._queued[key] = entry
                 self._submitted += 1
                 futures.append(future)
             self._cond.notify_all()
@@ -338,7 +285,7 @@ class JobQueue:
                     wait,
                     start=drained_wall - wait,
                     parent_id=entry.parent_span_id,
-                    problem=entry.problem.name,
+                    problem=entry.job.name,
                     priority=entry.priority,
                 )
         return batch
@@ -376,19 +323,19 @@ class JobQueue:
         # outcomes are keyed by entry *identity*, never by content digest:
         # with coalescing off, one drained batch may carry several entries of
         # the same digest, and each must resolve to its own schedule object
-        # (the engine's intra-batch dedup hands every position its own clone)
+        # (the engine's intra-batch dedup hands every position its own label)
         schedules: Dict[_Entry, Schedule] = {}
         errors: Dict[_Entry, BaseException] = {}
         groups: Dict[str, List[_Entry]] = {}
         for entry in batch:
-            groups.setdefault(entry.algorithm, []).append(entry)
+            groups.setdefault(entry.job.algorithm, []).append(entry)
         for algorithm, entries in groups.items():
             # the analyzer is pool-free (the runtime owns the pool) and shares
             # the runtime's cache, so constructing one per drain is cheap
             analyzer = BatchAnalyzer(algorithm, runtime=self.runtime)
-            problems = [entry.problem for entry in entries]
+            jobs = [entry.job for entry in entries]
             try:
-                results: List[Optional[Schedule]] = list(analyzer.run(problems).schedules)
+                results: List[Optional[Schedule]] = list(analyzer.run(jobs).schedules)
                 failures: Dict[int, str] = {}
             except BatchExecutionError as exc:
                 results = list(exc.results)
@@ -398,7 +345,7 @@ class JobQueue:
                 if schedule is not None:
                     schedules[entry] = schedule
                 else:
-                    message = failures.get(index, f"{entry.problem.name}: job was lost")
+                    message = failures.get(index, f"{entry.job.name}: job was lost")
                     errors[entry] = EngineError(message)
         self._resolve(batch, errors, schedules)
 
@@ -428,14 +375,8 @@ class JobQueue:
                     future.set_exception(error)
                     failed += 1
                     continue
-                if position == 0:
-                    future.set_result(schedule)
-                else:
-                    # coalesced follower: same content, its own copy (futures
-                    # must not share one mutable schedule) and its own label
-                    clone = Schedule.from_dict(schedule.to_dict())
-                    clone.problem_name = name
-                    future.set_result(clone)
+                # a coalesced follower gets the same content under its own label
+                future.set_result(schedule if position == 0 else schedule.relabeled(name))
                 completed += 1
         with self._cond:
             self._completed += completed

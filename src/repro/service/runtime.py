@@ -11,7 +11,7 @@ An :class:`EngineRuntime` fixes that by owning **one** pool for its whole
 lifetime:
 
 * pluggable backend — ``process`` (default; true parallelism),
-  ``thread`` (no pickling, useful for GIL-releasing plug-ins and tests),
+  ``thread`` (jobs and schedules pass as objects: no pickling, no codec),
   ``inline`` (no pool at all: strictly serial, deterministic debugging mode)
   or ``remote`` (no local pool either: jobs fan out across a fleet of
   :class:`~repro.service.AnalysisServer` endpoints through a

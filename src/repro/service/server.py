@@ -332,7 +332,8 @@ class AnalysisServer:
             priority=priority,
             timeout=self.submit_timeout,
         )
-        schedule = future.result()
+        with obs.span("queue.result"):
+            schedule = future.result()
         return 200, {
             "schedule": schedule.to_dict(),
             "schedulable": schedule.schedulable,
@@ -373,12 +374,13 @@ class AnalysisServer:
         )
         schedules: List[Optional[Any]] = []
         failures: Dict[str, str] = {}
-        for position, future in enumerate(futures):
-            try:
-                schedules.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - reported per job
-                schedules.append(None)
-                failures[str(position)] = str(exc)
+        with obs.span("queue.result", jobs=len(futures)):
+            for position, future in enumerate(futures):
+                try:
+                    schedules.append(future.result())
+                except Exception as exc:  # noqa: BLE001 - reported per job
+                    schedules.append(None)
+                    failures[str(position)] = str(exc)
         response = batch_results_to_dict(
             [schedule for schedule in schedules if schedule is not None]
         )
@@ -431,12 +433,14 @@ class AnalysisServer:
                 # submit the parent as a no-op overlay over the compiled
                 # kernel: digests identically to the plain problem (coalesces
                 # with prior work on it) but reuses this compilation
-                parent_schedule = self.queue.submit(
+                future = self.queue.submit(
                     kernel.with_overlay(ParamOverlay(), name=base.name),
                     algorithm=algorithm,
                     priority=priority,
                     timeout=self.submit_timeout,
-                ).result()
+                )
+                with obs.span("queue.result"):
+                    parent_schedule = future.result()
             except QueueFullError:
                 raise
             except Exception:  # noqa: BLE001 - parent failure → probes run cold

@@ -1,5 +1,9 @@
 """Unit tests for the schedule data structures."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import Schedule, ScheduledTask
@@ -110,11 +114,71 @@ class TestSchedule:
         assert schedule.unscheduled == ["y", "z"]
 
     def test_dict_roundtrip(self):
-        schedule = self.build()
-        schedule.stats = ScheduleStats(algorithm="incremental", cursor_steps=5, ibus_calls=7)
+        schedule = Schedule(
+            self.build().entries(),
+            algorithm="incremental",
+            stats=ScheduleStats(algorithm="incremental", cursor_steps=5, ibus_calls=7),
+        )
         restored = Schedule.from_dict(schedule.to_dict())
         assert restored.makespan == schedule.makespan
         assert restored.algorithm == "incremental"
         assert restored.entry("a").interference == 2
         assert restored.stats.cursor_steps == 5
         assert restored.stats.ibus_calls == 7
+
+
+class TestImmutability:
+    def build(self):
+        return Schedule(
+            [entry("a", 0, release=0, wcet=10, interference=2), entry("b", 1, release=0, wcet=5)],
+            algorithm="incremental",
+            unscheduled=["z"],
+            stats=ScheduleStats(algorithm="incremental", cursor_steps=3),
+            problem_name="original",
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["problem_name", "algorithm", "schedulable", "unscheduled", "stats", "_entries"]
+    )
+    def test_schedule_attributes_cannot_be_assigned(self, field):
+        schedule = self.build()
+        with pytest.raises(AttributeError):
+            setattr(schedule, field, None)
+        with pytest.raises(AttributeError):
+            delattr(schedule, field)
+
+    def test_schedule_takes_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            self.build().extra = 1
+
+    def test_stats_are_frozen(self):
+        stats = self.build().stats
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.cursor_steps = 99
+        assert stats.cursor_steps == 3
+
+    def test_relabeled_shares_entries_and_carries_its_own_name(self):
+        schedule = self.build()
+        copy_ = schedule.relabeled("renamed")
+        assert copy_ is not schedule
+        assert copy_.problem_name == "renamed"
+        assert schedule.problem_name == "original"
+        assert copy_._entries is schedule._entries
+        assert all(a is b for a, b in zip(copy_, schedule))
+        assert copy_.stats is schedule.stats
+        assert copy_.to_dict() == {**schedule.to_dict(), "problem_name": "renamed"}
+
+    def test_relabeled_under_the_same_name_is_still_a_new_value(self):
+        schedule = self.build()
+        assert schedule.relabeled("original") is not schedule
+
+    def test_pickle_and_copy_round_trip(self):
+        schedule = self.build()
+        for restored in (
+            pickle.loads(pickle.dumps(schedule)),
+            copy.copy(schedule),
+            copy.deepcopy(schedule),
+        ):
+            assert restored.to_dict() == schedule.to_dict()
+            with pytest.raises(AttributeError):
+                restored.problem_name = "x"
